@@ -71,16 +71,16 @@ type t = {
   set_const_lo : int -> value:int -> int;
       (** patch the low-part immediate field (the paper's [SET_SETHI_LOW]) *)
   eval_compute : Instr.t -> read:(int -> int option) -> (int * int) option;
+      (** replicate a computation instruction's effect over statically-known
+          register values: given [read] returning known constants, return
+          [(dest, value)] when the instruction computes a compile-time
+          constant. Powers backward slicing for dispatch tables (§3.3). *)
   shift_left : Instr.t -> (int * int) option;
       (** [(src, k)] when the instruction is [dst := src << k] — the
           scaled-index shape of dispatch-table address arithmetic *)
   mask_bound : Instr.t -> (int * int) option;
       (** [(src, m)] when the instruction bounds its result to [0..m]
           (e.g. [and src, m]); used to bound dispatch-table extents *)
-      (** replicate a computation instruction's effect over statically-known
-          register values: given [read] returning known constants, return
-          [(dest, value)] when the instruction computes a compile-time
-          constant. Powers backward slicing for dispatch tables (§3.3). *)
   asm : params:(string * int) list -> string -> (Template.t, string) result;
       (** assemble a snippet body written in this machine's assembly syntax
           into a {!Template.t}. [$name] parameters are substituted from

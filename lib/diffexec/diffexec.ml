@@ -223,7 +223,7 @@ type divergence = {
   dv_edit : Emu.obs_event option;
   dv_reg_delta : (int * int * int) list;
       (** registers differing at end of run: (reg, original, edited);
-          normalized values compared, raw values reported *)
+          raw and normalized values compared, raw values reported *)
 }
 
 type report = {
@@ -233,6 +233,12 @@ type report = {
   rp_insns : int * int;  (** dynamic instructions per side *)
   rp_stops : stop * stop;  (** how each side ended *)
 }
+
+(* Two observed values match when they are raw-equal or equal after
+   per-side normalization. Raw-equal values are observably identical even
+   when one happens to equal a relocated pc in the edited side's inverse
+   map; any later misuse of such a value surfaces as its own event. *)
+let same_value ~norm_a ~norm_b va vb = va = vb || norm_a va = norm_b vb
 
 (* Event payload comparison under per-side value normalization. [Ok] means
    the events match; [Error] classifies and describes the mismatch. The pc
@@ -245,7 +251,7 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
       Emu.Ob_trap { num = nb; arg = ab; _ } ) ->
       if na <> nb then
         Error (D_value, Printf.sprintf "trap %d vs trap %d" na nb)
-      else if norm_a aa <> norm_b ab then
+      else if not (same_value ~norm_a ~norm_b aa ab) then
         Error (D_value, Printf.sprintf "trap %d arg 0x%x vs 0x%x" na aa ab)
       else Ok ()
   | ( Emu.Ob_store { addr = adra; width = wa; value = va; _ },
@@ -254,7 +260,7 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
         Error
           ( D_value,
             Printf.sprintf "store%d [0x%x] vs store%d [0x%x]" wa adra wb adrb )
-      else if norm_a va <> norm_b vb then
+      else if not (same_value ~norm_a ~norm_b va vb) then
         Error
           ( D_value,
             Printf.sprintf "store%d [0x%x]: value 0x%x vs 0x%x" wa adra va vb )
@@ -275,7 +281,11 @@ let same_event ~norm_a ~norm_b (a : Emu.obs_event) (b : Emu.obs_event) :
             Printf.sprintf "syscall %d: %s vs %s" na
               (if ea then "error" else "success")
               (if eb then "error" else "success") )
-      else if a0a <> a0b || norm_a a1a <> norm_b a1b || a2a <> a2b then
+      else if
+        a0a <> a0b
+        || (not (same_value ~norm_a ~norm_b a1a a1b))
+        || a2a <> a2b
+      then
         Error
           ( D_value,
             Printf.sprintf "syscall %d args (0x%x,0x%x,0x%x) vs (0x%x,0x%x,0x%x)"
@@ -319,7 +329,7 @@ let reg_delta ~norm_a ~norm_b (a : run) (b : run) =
   let n = min (Array.length a.r_regs) (Array.length b.r_regs) in
   let out = ref [] in
   for i = n - 1 downto 0 do
-    if norm_a a.r_regs.(i) <> norm_b b.r_regs.(i) then
+    if not (same_value ~norm_a ~norm_b a.r_regs.(i) b.r_regs.(i)) then
       out := (i, a.r_regs.(i), b.r_regs.(i)) :: !out
   done;
   !out

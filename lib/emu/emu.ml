@@ -407,11 +407,14 @@ type t = {
   mutable text_lo : int;
   mutable text_hi : int;
   code : Insn.t array;
-      (** predecoded text segment, indexed by [(pc - code_lo) / 4]; [[||]]
-          when predecoding is off (or the text geometry ruled it out).
-          Kept coherent with [mem] by {!store_mem}: any store landing in
-          the covered range re-decodes its word, so self-modifying code
-          behaves exactly as the decode-per-step path. *)
+      (** the predecode table: one slot per word of the text span, indexed
+          by [(pc - code_lo) / 4]; [[||]] when predecoding is off (or the
+          text geometry ruled it out). A slot is decoded the first time it
+          is fetched; until then it holds a shared "not decoded" sentinel,
+          so read it only through {!code_insn}. Kept coherent with [mem] by
+          {!invalidate_code}: a store landing on a decoded word resets it to
+          the sentinel, so self-modifying code behaves exactly as the
+          decode-per-step path. *)
   code_lo : int;  (** base address of [code]; meaningless when empty *)
   mutable pokes : poke list;
       (** pending environment faults, sorted by [pk_at]; see {!set_pokes} *)
@@ -426,8 +429,9 @@ type t = {
           {!Fault} / {!Out_of_fuel} exactly as the interpreter would. *)
   mutable on_invalidate : (int -> unit) option;
       (** notified with the word-aligned address every time a store or
-          poke lands in the predecoded text range ({!invalidate_code});
-          the tier-2 code cache drops compiled blocks covering it. *)
+          poke lands on a decoded slot of the predecode table
+          ({!invalidate_code}); the tier-2 code cache drops compiled
+          blocks covering it. *)
   mutable trap_handler : (t -> int -> bool) option;
       (** optional OS layer (lib/os): consulted before the builtin [ta n]
           dispatch with the {e raw} trap number; returning [true] means the
@@ -442,7 +446,7 @@ type t = {
     arriving from {e outside} the program (the fault-injection campaign's
     image bit-flips and counter-skew attacks), so they are applied directly
     to memory: no observable event is recorded, no store count ticks. The
-    predecoded code array {e is} kept coherent (a poke into text must
+    predecode table {e is} kept coherent (a poke into text must
     change what executes, exactly like a program store would). A poke whose
     address is out of range or misaligned is dropped silently — a fault
     plan can never crash the machine. *)
@@ -465,16 +469,25 @@ let max_image_bytes = 1024 * 1024 * 1024
     decode-per-step, which is always correct. *)
 let max_predecode_words = 4 * 1024 * 1024
 
+(** The predecode table's "not decoded" slot. No 32-bit word decodes to
+    [Invalid (-1)] ([Insn.decode] masks its input), and slots are compared
+    with [==], so a decoded word is never mistaken for it. {!code_insn}
+    never returns it: no tier can execute it. *)
+let undecoded = Insn.Invalid (-1)
+
 (** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
     sections copied into a flat memory image, the stack pointer at the top
     of memory, and pc at the entry point. Raises {!Fault} when the image
     cannot be built: sections with negative geometry, contents shorter than
     the declared size, or an address space larger than {!max_image_bytes}.
 
-    With [predecode] (the default) the text segment is decoded once into a
-    dense instruction array so {!step} never calls [Insn.decode] on the hot
-    path; [~predecode:false] keeps the decode-per-step behaviour (the
-    benchmark harness measures one against the other). *)
+    With [predecode] (the default) the text span gets a predecode table
+    whose slots are decoded on first fetch, so {!step} calls [Insn.decode]
+    once per executed word rather than once per step, and loading decodes
+    no word of text that never runs (an edited image's text span also
+    covers the data regions between [.text] and [.eel.text]).
+    [~predecode:false] keeps the decode-per-step behaviour (the benchmark
+    harness measures one against the other). *)
 let load ?(headroom = default_headroom) ?(predecode = true)
     (exe : Eel_sef.Sef.t) =
   let high = Eel_sef.Sef.high_addr exe in
@@ -512,10 +525,7 @@ let load ?(headroom = default_headroom) ?(predecode = true)
       && text_lo land 3 = 0
       && text_hi <= Bytes.length mem
       && (text_hi - text_lo) / 4 <= max_predecode_words
-    then
-      Array.init
-        ((text_hi - text_lo) / 4)
-        (fun i -> Insn.decode (Eel_util.Bytebuf.get32_be mem (text_lo + (i * 4))))
+    then Array.make ((text_hi - text_lo) / 4) undecoded
     else [||]
   in
   {
@@ -597,15 +607,33 @@ let load_mem t addr width ~signed =
   in
   if signed then W.mask (W.sext (width * 8) v) else v
 
+(* {!code_insn}'s slow path, kept out of line *)
+let decode_slot t idx =
+  let insn =
+    Insn.decode (Eel_util.Bytebuf.get32_be t.mem (t.code_lo + (idx lsl 2)))
+  in
+  Array.unsafe_set t.code idx insn;
+  insn
+
+(** [code_insn t idx] is the instruction in predecode slot [idx], which
+    must be in range: decoded from [mem] and cached on first use. Inlined,
+    so a fetch of a decoded slot costs one compare over a plain array
+    read. *)
+let[@inline] code_insn t idx =
+  let insn = Array.unsafe_get t.code idx in
+  if insn != undecoded then insn else decode_slot t idx
+
 (* [check_addr] enforces natural alignment, so no store crosses a 4-byte
    boundary: a store touches exactly the word containing [addr], and
-   re-decoding that one word keeps the predecoded array coherent. *)
+   resetting that one slot keeps the predecode table coherent. A slot that
+   was never decoded needs nothing, not even the tier-2 notification: a
+   compiled block covers only words its scanner read through
+   {!code_insn}, so every covered word is decoded. *)
 let invalidate_code t addr =
   let idx = (addr - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code then begin
-    let wa = t.code_lo + (idx lsl 2) in
-    t.code.(idx) <- Insn.decode (Eel_util.Bytebuf.get32_be t.mem wa);
-    match t.on_invalidate with None -> () | Some f -> f wa
+  if idx >= 0 && idx < Array.length t.code && t.code.(idx) != undecoded then begin
+    t.code.(idx) <- undecoded;
+    match t.on_invalidate with None -> () | Some f -> f (t.code_lo + (idx lsl 2))
   end
 
 let store_mem t addr width v =
@@ -706,12 +734,12 @@ let set_trap_handler t h = t.trap_handler <- h
 (** {1 Execution} *)
 
 (* Fetch the instruction at [pc] (assumed word-aligned): a bounds-checked
-   array read off the predecoded text, falling back to decode-per-step for
-   addresses outside it (or when predecoding is off). The [unsafe_get] is
-   guarded by the [idx] range check on the line above. *)
+   read of the predecode table, falling back to decode-per-step for
+   addresses outside it (or when predecoding is off). {!code_insn}'s
+   [unsafe_get] is guarded by the [idx] range check. *)
 let fetch_insn t pc =
   let idx = (pc - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code then Array.unsafe_get t.code idx
+  if idx >= 0 && idx < Array.length t.code then code_insn t idx
   else begin
     if pc < 0 || pc + 4 > Bytes.length t.mem then fault "pc out of range 0x%x" pc;
     Insn.decode (Eel_util.Bytebuf.get32_be t.mem pc)

@@ -33,12 +33,12 @@
       its worst-case length, so {!Emu.Out_of_fuel} always fires from the
       interpreter at the exact instruction, mid-block cutoffs included;
     - {b self-modifying code} — a store into the predecoded text range
-      flows through {!Emu.invalidate_code} (keeping the tier-1 array
-      coherent) and the {!Emu.t}'s [on_invalidate] hook kills every
-      compiled block covering the word and unlinks it from its chain
-      predecessors. A block that invalidates {e itself} completes the
-      store — its effects are exactly tier-1's — and deopts at the next
-      instruction boundary;
+      flows through {!Emu.invalidate_code} (keeping the tier-1 table
+      coherent); when the word was decoded, the {!Emu.t}'s
+      [on_invalidate] hook kills every compiled block covering it and
+      unlinks it from its chain predecessors. A block that invalidates
+      {e itself} completes the store — its effects are exactly tier-1's —
+      and deopts at the next instruction boundary;
     - {b armed instrumentation} — per-instruction hooks, ground-truth
       profiles and poke plans need the interpreter; {!Emu.run} never
       dispatches to tier-2 while one is armed. Observable-event sinks
@@ -145,24 +145,28 @@ type term =
 
 (* Scan a straight-line block starting at [pc] (word-aligned, inside the
    predecoded range). Returns the body instructions and the terminator,
-   or [None] when the very first instruction is uncompilable. *)
+   or [None] when the very first instruction is uncompilable. Every word
+   is read through {!Emu.code_insn}, so every word a block covers is
+   decoded in the table, which is what lets {!Emu.invalidate_code} skip
+   stores to words never decoded. *)
 let scan (m : Emu.t) pc =
-  let code = m.Emu.code and code_lo = m.Emu.code_lo in
-  let len = Array.length code in
+  let code_lo = m.Emu.code_lo in
+  let len = Array.length m.Emu.code in
+  let at i = Emu.code_insn m i in
   let idx0 = (pc - code_lo) asr 2 in
   let body = ref [] in
   let rec go i =
     if i >= len || i - idx0 >= max_body then T_cut (code_lo + (i lsl 2))
     else
       let bpc = code_lo + (i lsl 2) in
-      match code.(i) with
-      | Insn.Bicc { cond; annul; disp22 } when i + 1 < len && body_ok code.(i + 1)
+      match at i with
+      | Insn.Bicc { cond; annul; disp22 } when i + 1 < len && body_ok (at (i + 1))
         ->
-          T_bicc { cond; annul; target = W.add bpc (disp22 * 4); bpc; delay = code.(i + 1) }
-      | Insn.Call { disp30 } when i + 1 < len && body_ok code.(i + 1) ->
-          T_call { target = W.add bpc (disp30 * 4); bpc; delay = code.(i + 1) }
-      | Insn.Jmpl { rs1; op2; rd } when i + 1 < len && body_ok code.(i + 1) ->
-          T_jmpl { rs1; op2; rd; bpc; delay = code.(i + 1) }
+          T_bicc { cond; annul; target = W.add bpc (disp22 * 4); bpc; delay = at (i + 1) }
+      | Insn.Call { disp30 } when i + 1 < len && body_ok (at (i + 1)) ->
+          T_call { target = W.add bpc (disp30 * 4); bpc; delay = at (i + 1) }
+      | Insn.Jmpl { rs1; op2; rd } when i + 1 < len && body_ok (at (i + 1)) ->
+          T_jmpl { rs1; op2; rd; bpc; delay = at (i + 1) }
       | insn when body_ok insn ->
           body := insn :: !body;
           go (i + 1)
@@ -234,9 +238,9 @@ let compile_insn st ~pci ~n ~dslot insn k =
       osr st ~pc:nx ~npc:(nx + 4) ~n:(n + 1)
     else osr st ~pc:(pci + 4) ~npc:(pci + 8) ~n:(n + 1)
   in
-  (* a store that just landed in text: tier-1's array is already coherent
-     ([Emu.invalidate_code] ran); kill covering blocks and, if one of
-     them is the block being executed, deopt at the next boundary *)
+  (* a store that just landed in text: [Emu.invalidate_code] resets the
+     tier-1 slot and kills covering blocks; if one of them is the block
+     being executed, deopt at the next boundary *)
   let text_store a =
     Emu.invalidate_code m a;
     if st.t2_pending then begin
@@ -917,7 +921,7 @@ let kill st cb =
     if cb.cb_pc = st.t2_cur_pc then st.t2_pending <- true
   end
 
-(* [on_invalidate] hook: a store or poke re-decoded the word at [wa];
+(* [on_invalidate] hook: a store or poke reset the decoded word at [wa];
    every compiled block covering it is now stale. *)
 let invalidate st wa =
   match Hashtbl.find_opt st.t2_cover wa with
@@ -1051,7 +1055,7 @@ let run st fuel =
     {!Emu.run} will dispatch whole-run execution to it whenever no
     per-instruction instrumentation is armed, and every text invalidation
     is forwarded to the code cache. Returns [None] when the machine has
-    no predecoded text (tier-2 rides on the predecode array). *)
+    no predecoded text (tier-2 rides on the predecode table). *)
 let attach ?(threshold = default_threshold) (m : Emu.t) =
   if Array.length m.Emu.code = 0 then None
   else begin
@@ -1127,7 +1131,7 @@ let summary st =
 (* ------------------------------------------------------------------ *)
 
 (** The three execution tiers. [Interp] decodes every step, [Predecode]
-    dispatches the dense [Insn.t] array one instruction at a time,
+    dispatches the predecode table one instruction at a time,
     [Block] adds this module's compiled blocks on top of predecode. *)
 type tier = Interp | Predecode | Block
 

@@ -401,10 +401,11 @@ main:   set 0x10000, %l0
 
 (* ---- the predecoded fast path (ISSUE 5) ----
 
-   [Emu.load] decodes the text segment once into a dense instruction
-   array; stores into text re-decode the clobbered word. These tests pin
-   the contract: predecoded and decode-per-step execution are observably
-   identical, including under self-modifying code and on faults. *)
+   [Emu.load] gives the text span a predecode table whose slots are
+   decoded on first fetch; a store into text resets a decoded slot. These
+   tests pin the contract: predecoded and decode-per-step execution are
+   observably identical, including under self-modifying code and on
+   faults, and loading decodes nothing. *)
 
 let run_mode ~predecode src =
   match Asm.assemble src with
@@ -510,8 +511,8 @@ Lcode:  .word 0x%x, %s, 0x%x, %s, %s
   Alcotest.(check string) "ran code from the data segment" "42\n" r.Emu.out
 
 let test_predecode_fault_parity () =
-  (* decode of an invalid word must not fault at load time (predecode
-     scans all of text); both modes fault identically at execution *)
+  (* an invalid word must not fault when it is decoded, only when it
+     executes; both modes fault identically at execution *)
   let fault ~predecode =
     match Asm.assemble "main:   .word 0\n        nop\n" with
     | Error m -> Alcotest.failf "asm: %s" m
@@ -522,6 +523,27 @@ let test_predecode_fault_parity () =
   in
   Alcotest.(check string) "identical fault message" (fault ~predecode:false)
     (fault ~predecode:true)
+
+let test_predecode_load_cost () =
+  (* an edited image's text span runs from .text past the data regions to
+     .eel.text, about a million words, of which the program executes a few
+     hundred: loading it must allocate less than one minor word per slot
+     (decoding every slot up front allocates about four) *)
+  let exe =
+    match Asm.assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "asm: %s" m
+  in
+  let edited = (Eel_tools.Qpt2.instrument Mach.mach exe).Eel_tools.Qpt2.edited in
+  let _, headroom = Eel_diffexec.Diffexec.equalized_headroom exe edited in
+  let w0 = Gc.minor_words () in
+  let t = Emu.load ~headroom edited in
+  let allocated = Gc.minor_words () -. w0 in
+  let slots = Array.length t.Emu.code in
+  Alcotest.(check bool) "edited image is predecoded" true (slots > 0);
+  if allocated >= float_of_int slots then
+    Alcotest.failf "load allocated %.0f minor words for %d table slots"
+      allocated slots
 
 (* ---- fuel boundaries and fault pokes (ISSUE 6) ----
 
@@ -678,10 +700,11 @@ let test_poke_invalid_dropped () =
    every boundary of a chained block pair and under stores into compiled
    text. *)
 
-let run_tier ~tier src =
+let run_tier ?(pokes = []) ~tier src =
   let t, eng = load_tier ~tier (assemble_exe src) in
   let log = Emu.obs_log () in
   Emu.set_obs t (Some log);
+  Emu.set_pokes t pokes;
   let stop =
     match Emu.run t with
     | r -> Printf.sprintf "exit %d" r.Emu.exit_code
@@ -697,13 +720,13 @@ let run_tier ~tier src =
 
 (* Run [src] under all three tiers, demand an identical observable run,
    and return the tier-2 engine's stats for structural assertions. *)
-let check_tiers_agree name src =
-  let sb, eb, ib, rb, ob, _ = run_tier ~tier:Tier2.Interp src in
+let check_tiers_agree ?pokes name src =
+  let sb, eb, ib, rb, ob, _ = run_tier ?pokes ~tier:Tier2.Interp src in
   let check tr =
     let chk what =
       Printf.sprintf "%s [%s] %s" name (Tier2.tier_name tr) what
     in
-    let sa, ea, ia, ra, oa, eng = run_tier ~tier:tr src in
+    let sa, ea, ia, ra, oa, eng = run_tier ?pokes ~tier:tr src in
     Alcotest.(check string) (chk "stop") sb sa;
     Alcotest.(check (list string)) (chk "events") eb ea;
     Alcotest.(check int) (chk "insns") ib ia;
@@ -767,6 +790,22 @@ Lloop:  std %l0, [%l2]
     ^ exit0
     ^ "        .data\n        .align 8\nbuf:    .word 0, 0, 0\n"
   in
+  (* a store into a text word never fetched (so never decoded), then a
+     branch to it: the patched word must run *)
+  let store_cold_src =
+    Printf.sprintf
+      {|
+main:   set Lcold, %%l0
+        set 0x%x, %%l1
+        st %%l1, [%%l0]
+        ba Lcold
+        nop
+Lcold:  mov 1, %%o0
+        ta 2
+|}
+      (mov_imm_o0 42)
+    ^ exit0
+  in
   List.iter
     (fun (name, src) ->
       let st = check_tiers_agree name src in
@@ -779,6 +818,7 @@ Lloop:  std %l0, [%l2]
       ("jump-table", jump_table_src);
       ("annul-loop", annul_src);
       ("mem-widths", widths_src);
+      ("store-never-fetched", store_cold_src);
     ]
 
 (* OSR state transfer, swept over every boundary of a chained block
@@ -815,7 +855,28 @@ let test_tier_osr_boundaries () =
 let test_tier_selfmod_suite () =
   (* the st/stb self-modify programs from the predecode suite: a store
      into an already-compiled block must invalidate the closure, and the
-     patched instruction must execute *)
+     patched instruction must execute. In patch-compiled, Lhot runs
+     compiled on the second pass and a store from another block patches
+     it before the third. *)
+  let patch_compiled_src =
+    Printf.sprintf
+      {|
+main:   mov 3, %%l0
+        set Lhot, %%l2
+        set 0x%x, %%l3
+Lhot:   mov 1, %%o0
+        ta 2
+        cmp %%l0, 2
+        bne Lskip
+        nop
+        st %%l3, [%%l2]
+Lskip:  subcc %%l0, 1, %%l0
+        bne Lhot
+        nop
+|}
+      (mov_imm_o0 42)
+    ^ exit0
+  in
   List.iter
     (fun (name, src) ->
       let st = check_tiers_agree name src in
@@ -823,7 +884,11 @@ let test_tier_selfmod_suite () =
         (name ^ ": compiled block invalidated")
         true
         (st.Tier2.st_invalidated >= 1))
-    [ ("selfmod-word", selfmod_word_src); ("selfmod-byte", selfmod_byte_src) ]
+    [
+      ("selfmod-word", selfmod_word_src);
+      ("selfmod-byte", selfmod_byte_src);
+      ("patch-compiled", patch_compiled_src);
+    ]
 
 let test_tier_invalidate_chained () =
   (* block B stores block A's own first word back into A every iteration
@@ -877,6 +942,27 @@ Lself:  add %l4, 1, %l4
     "invalidated itself" true
     (st.Tier2.st_invalidated >= 1)
 
+let test_tier_poke_never_fetched () =
+  (* the poke lands while the loop runs, before Lcold (main+0x10) is
+     first fetched: the predecode slot was never decoded, so the word
+     must still be read fresh when it first runs *)
+  let src =
+    {|
+main:   mov 3, %l0
+Lloop:  subcc %l0, 1, %l0
+        bne Lloop
+        nop
+Lcold:  mov 1, %o0
+        ta 2
+|}
+    ^ exit0
+  in
+  let at = (assemble_exe src).Sef.entry + 0x10 in
+  let pokes = [ { Emu.pk_at = 2; pk_addr = at; pk_value = mov_imm_o0 42 } ] in
+  ignore (check_tiers_agree ~pokes "poke-never-fetched" src);
+  let _, _, _, _, out, _ = run_tier ~pokes ~tier:Tier2.Interp src in
+  Alcotest.(check string) "poked word executed" "42\n" out
+
 let () =
   Alcotest.run "emu"
     [
@@ -928,6 +1014,7 @@ let () =
           Alcotest.test_case "execution outside text" `Quick
             test_predecode_outside_text;
           Alcotest.test_case "fault parity" `Quick test_predecode_fault_parity;
+          Alcotest.test_case "load cost" `Quick test_predecode_load_cost;
         ] );
       ( "fuel-and-pokes",
         [
@@ -948,5 +1035,7 @@ let () =
             test_tier_invalidate_chained;
           Alcotest.test_case "self-store deopts" `Quick
             test_tier_selfstore_deopt;
+          Alcotest.test_case "poke into a never-fetched word" `Quick
+            test_tier_poke_never_fetched;
         ] );
     ]

@@ -271,6 +271,72 @@ let test_qpt2_check_runs_under_oracle () =
     (Dx.verdict_name er.Dx.er_report.Dx.rp_verdict)
 
 (* ------------------------------------------------------------------ *)
+(* Raw-equal values                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let test_raw_equal_values_match () =
+  (* a value both sides produce raw-identical matches even when the edited
+     side's normalizer maps it elsewhere (it equals a relocated pc) *)
+  let run events regs =
+    {
+      Dx.r_stop = Dx.S_exit 0;
+      r_events = events;
+      r_total = Array.length events;
+      r_truncated = false;
+      r_filtered = 0;
+      r_filtered_stores = 0;
+      r_filtered_traps = 0;
+      r_filtered_syscalls = 0;
+      r_out = "";
+      r_insns = 1;
+      r_regs = regs;
+      r_mem = Bytes.empty;
+      r_profile = None;
+    }
+  in
+  let v = 0x62e80 in
+  let evs =
+    [|
+      Emu.Ob_store { pc = 0; addr = 0x100; width = 4; value = v };
+      Emu.Ob_trap { pc = 0; num = 2; arg = v };
+      Emu.Ob_exit { pc = 0; code = 0 };
+    |]
+  in
+  let norm_b x = if x = v then 0x10000 else x in
+  let rp = Dx.compare_runs ~norm_b (run evs [| v |]) (run evs [| v |]) in
+  Alcotest.(check string) "verdict" "equivalent"
+    (Dx.verdict_name rp.Dx.rp_verdict);
+  (* the normalized match still holds, and a genuine difference still
+     diverges *)
+  let moved =
+    Array.map
+      (function
+        | Emu.Ob_store s -> Emu.Ob_store { s with value = 0x20000 }
+        | ev -> ev)
+      evs
+  in
+  let norm_b x = if x = 0x20000 then v else x in
+  Alcotest.(check string) "normalized" "equivalent"
+    (Dx.verdict_name
+       (Dx.compare_runs ~norm_b (run evs [||]) (run moved [||])).Dx.rp_verdict);
+  Alcotest.(check string) "different" "diverged:value-mismatch"
+    (Dx.verdict_name
+       (Dx.compare_runs (run evs [||]) (run moved [||])).Dx.rp_verdict)
+
+let test_oldqpt_raw_equal_seeds () =
+  (* seeds whose oldqpt edits store a value (0x62e80 on seed 103) that
+     both sides store raw-identical and that equals a relocated pc *)
+  List.iter
+    (fun seed ->
+      let exe = workload ~routines:200 ~seed () in
+      let er = verify_ok (apply_ok "oldqpt" exe) exe in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d verdict" seed)
+        "equivalent"
+        (Dx.verdict_name er.Dx.er_report.Dx.rp_verdict))
+    [ 12; 103 ]
+
+(* ------------------------------------------------------------------ *)
 (* Seeded contract violations (the acceptance criteria)                *)
 (* ------------------------------------------------------------------ *)
 
@@ -473,6 +539,13 @@ let () =
             test_qpt2_counts_cross_validate;
           Alcotest.test_case "check runs under the oracle" `Quick
             test_qpt2_check_runs_under_oracle;
+        ] );
+      ( "raw-equal-values",
+        [
+          Alcotest.test_case "raw-equal values match" `Quick
+            test_raw_equal_values_match;
+          Alcotest.test_case "oldqpt seeds 12 and 103" `Quick
+            test_oldqpt_raw_equal_seeds;
         ] );
       ( "seeded-violations",
         [
