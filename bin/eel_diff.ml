@@ -20,7 +20,8 @@
 
    --json writes one machine-readable JSON object (per-program verdicts +
    summary) to stdout instead of the table; --metrics dumps the eel.diff.*,
-   eel.equiv.* and eel.ledger.* registry slices at the end (metrics merge
+   eel.equiv.*, eel.ledger.* and emu.tier2.* registry slices at the end
+   (the last shows how much oracle work ran compiled; metrics merge
    across domains, so this works at any EEL_JOBS); --trace FILE writes the
    whole run as a Chrome trace timeline (and pins the sweep to one domain,
    since span hierarchies don't cross domains). *)
@@ -76,7 +77,8 @@ let () =
       ("--verbose", Arg.Set verbose, "print event/instruction counts per program");
       ( "--metrics",
         Arg.Set show_metrics,
-        "dump the eel.diff.* / eel.equiv.* / eel.ledger.* metrics at the end" );
+        "dump the eel.diff.* / eel.equiv.* / eel.ledger.* / emu.tier2.* \
+         metrics at the end" );
       ("--trace", Arg.Set_string trace_file, "FILE to write a Chrome trace timeline to");
       ( "--reproduce",
         Arg.Set_string reproduce,
@@ -93,12 +95,6 @@ let () =
      Printf.eprintf "eel_diff: unknown tool %s (expected one of: %s)\n" !tool
        (String.concat ", " Toolbox.names);
      exit 2));
-  (* mirror the EEL_JOBS notice: armed per-instruction instrumentation
-     silently drops the run to tier-1, which is worth a line on stderr *)
-  (if !tool <> "" then
-     Printf.eprintf
-       "eel_diff: --tool arms the ground-truth profile (tier-2 block engine \
-        off for profiled runs)\n");
   if !reproduce <> "" then (
     (* replay a reproducer artifact: rebuild the exact (tool, program,
        fault class, sites) trial deterministically and demand the oracle
@@ -264,7 +260,7 @@ let () =
         in
         if
           has_prefix "eel.diff" || has_prefix "eel.equiv"
-          || has_prefix "eel.ledger"
+          || has_prefix "eel.ledger" || has_prefix "emu.tier2"
         then
           match v with
           | Metrics.Int n -> Printf.printf "  %-32s %d\n" name n

@@ -188,24 +188,19 @@ let () =
         "ATTEMPTS for the guided hunt in --inject mode (default 48)" );
       ( "--metrics",
         Arg.Set show_metrics,
-        "dump the fuzz.* / eel.* metrics registry at the end (merges across \
-         domains; works at any EEL_JOBS)" );
+        "dump the fuzz.* / eel.* / emu.tier2.* metrics registry at the end \
+         (merges across domains; works at any EEL_JOBS)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     "eel_fuzz: assert the front end never crashes on mutated executables";
   let tracer = if !trace_file <> "" then Some (Trace.create ()) else None in
   Trace.set_current tracer;
-  (* mirror the EEL_JOBS notice: these modes arm per-instruction
-     instrumentation (ground-truth profiles, poke plans), which silently
-     drops the affected runs to tier-1 *)
-  (if !tool <> "" then
-     Printf.eprintf
-       "eel_fuzz: --tool arms the ground-truth profile (tier-2 block engine \
-        off for profiled runs)\n");
+  (* mirror the EEL_JOBS notice: poke plans need per-instruction
+     interpretation, which silently drops the affected runs to tier-1 *)
   (if !inject then
      Printf.eprintf
-       "eel_fuzz: --inject arms profiles and poke plans (tier-2 block \
-        engine off for those trials)\n");
+       "eel_fuzz: --inject arms poke plans (tier-2 block engine off for \
+        those trials)\n");
   (* metrics (and ledger/hotspot data) live in Domain.DLS and merge
      deterministically at pool joins, so --metrics is jobs-agnostic; only
      --trace pins the run to one domain (worker domains have no ambient
@@ -218,7 +213,8 @@ let () =
             String.length name >= String.length p
             && String.sub name 0 (String.length p) = p
           in
-          if has_prefix "fuzz." || has_prefix "eel." then
+          if has_prefix "fuzz." || has_prefix "eel." || has_prefix "emu.tier2."
+          then
             match v with
             | Metrics.Int n -> Printf.printf "  %-32s %d\n" name n
             | Metrics.Float f -> Printf.printf "  %-32s %g\n" name f

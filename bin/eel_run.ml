@@ -47,12 +47,12 @@ let parse_os_file spec =
    that forces per-instruction interpretation is a contradiction and is
    rejected ([Diag] error); the default tier silently degrades — with a
    one-line stderr notice, mirroring the EEL_JOBS=1 notices — because the
-   engine itself refuses to run while a hook or profile is armed. *)
-let resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode =
+   engine itself refuses to run while a hook is armed. The --metrics
+   profile is not a forcer: the block tier keeps it. *)
+let resolve_tier ~tier ~rtl ~itrace ~no_predecode =
   let forcer =
     if rtl then Some "--rtl"
     else if itrace then Some "--itrace"
-    else if metrics then Some "--metrics"
     else if no_predecode then Some "--no-predecode"
     else None
   in
@@ -83,7 +83,7 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
     Printf.eprintf "eel_run: --os is not supported under --rtl\n";
     exit 2
   end;
-  let tier = resolve_tier ~tier ~rtl ~itrace ~metrics ~no_predecode in
+  let tier = resolve_tier ~tier ~rtl ~itrace ~no_predecode in
   let observing = trace_file <> None || metrics in
   let tracer = if observing then Some (Trace.create ()) else None in
   Trace.set_current tracer;

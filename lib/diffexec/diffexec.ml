@@ -104,11 +104,12 @@ type run = {
     the run's syscalls surface as {!Emu.Ob_syscall} events.
 
     [tier] selects the execution engine ({!Tier2.tier}); the default is
-    {!Tier2.Block} — the block-compiled tier is event-identical to the
-    interpreter (the test suite pins this corpus-wide) and the engine
-    itself falls back to tier-1 whenever per-instruction instrumentation
-    (a profile or a poke plan) is armed, so callers need not care.
-    [~predecode:false] without an explicit [tier] means {!Tier2.Interp}. *)
+    {!Tier2.Block} — the block-compiled tier is event- and
+    profile-identical to the interpreter (the test suite pins this
+    corpus-wide, tool edits included), so profiled runs execute compiled
+    code too; the engine itself falls back to tier-1 while a poke plan
+    is armed, so callers need not care. [~predecode:false] without an
+    explicit [tier] means {!Tier2.Interp}. *)
 let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
     ?predecode ?tier ?(pokes = []) ?os (exe : Sef.t) : (run, Diag.error) result
     =

@@ -238,10 +238,12 @@ let create_profile () =
     p_pending_at = 0;
   }
 
-let bump tbl key =
+let bump_by tbl key n =
   match Hashtbl.find_opt tbl key with
-  | Some n -> Hashtbl.replace tbl key (n + 1)
-  | None -> Hashtbl.add tbl key 1
+  | Some c -> Hashtbl.replace tbl key (c + n)
+  | None -> Hashtbl.add tbl key n
+
+let bump tbl key = bump_by tbl key 1
 
 (* Shadow-stack depth cap: beyond it, callee instructions are attributed to
    the capped context instead of pushing (runaway recursion stays bounded;
@@ -249,74 +251,91 @@ let bump tbl key =
 let max_cct_depth = 512
 
 (* A pending call/return explains a block entry only if it fired within the
-   transfer's own DCTI window (the transfer plus its delay slot). *)
-let pending_live p = p.p_insns - p.p_pending_at <= 2
+   transfer's own DCTI window (the transfer plus its delay slot): the
+   arriving instruction is at most the second one recorded after it. *)
+let pending_live p = p.p_insns - p.p_pending_at <= 1
 
+(** The arrival part of {!profile_step}: the next instruction to be
+    recorded, at [pc], was reached non-sequentially. Counts the block
+    entry and moves the calling context — a live pending call descends
+    into [pc]'s context, a live pending return unwinds to the frame
+    expecting [pc] — then clears the pending transfer. The per-leader
+    count in [p_block_counts] is the caller's: tier-2 keeps one per
+    compiled block and folds it in later. *)
+let profile_arrive p pc =
+  p.p_block_entries <- p.p_block_entries + 1;
+  if p.p_pending_call <> min_int && pending_live p then begin
+    if p.p_depth < max_cct_depth then begin
+      let child =
+        match Hashtbl.find_opt p.p_cur.cc_children pc with
+        | Some c -> c
+        | None ->
+            let c = new_cct pc in
+            Hashtbl.add p.p_cur.cc_children pc c;
+            c
+      in
+      p.p_stack <- { cf_node = p.p_cur; cf_ret = p.p_pending_call } :: p.p_stack;
+      p.p_depth <- p.p_depth + 1;
+      p.p_cur <- child
+    end
+  end
+  else if p.p_pending_ret && pending_live p then begin
+    (* pop to the frame expecting this return address; unwinding through
+       intermediate frames handles tail-call escapes, and a return to an
+       address no frame expects (e.g. a computed jump) pops nothing *)
+    let rec unwind stack depth =
+      match stack with
+      | fr :: rest when fr.cf_ret = pc -> Some (fr.cf_node, rest, depth - 1)
+      | _ :: rest -> unwind rest (depth - 1)
+      | [] -> None
+    in
+    match unwind p.p_stack p.p_depth with
+    | Some (node, rest, depth) ->
+        p.p_cur <- node;
+        p.p_stack <- rest;
+        p.p_depth <- depth
+    | None -> ()
+  end;
+  p.p_pending_call <- min_int;
+  p.p_pending_ret <- false
+
+(** What a recorded instruction arms for the next arrival: a call, or a
+    call through a register (jmpl leaving the return address in %o7/%i7),
+    pushes on landing; any other jmpl is a potential return. *)
+type arm = No_arm | Arm_call | Arm_ret
+
+let arm_of = function
+  | Insn.Call _ -> Arm_call
+  | Insn.Jmpl { rd; _ } -> if rd = 15 || rd = 31 then Arm_call else Arm_ret
+  | _ -> No_arm
+
+(** [profile_arm p ~pc ~at a] arms call/return tracking for the transfer
+    at [pc], the [at]-th instruction recorded (see {!arm_of}). *)
+let profile_arm p ~pc ~at = function
+  | No_arm -> ()
+  | Arm_call ->
+      p.p_pending_call <- pc + 8;
+      p.p_pending_at <- at
+  | Arm_ret ->
+      p.p_pending_ret <- true;
+      p.p_pending_at <- at
+
+(** Record one executed instruction: the arrival step when [pc] was
+    reached non-sequentially, then the per-instruction counts, the class
+    mix of the current context, and whatever the instruction arms. *)
 let profile_step p ~pc insn =
+  if pc <> p.p_last_pc + 4 then begin
+    bump p.p_block_counts pc;
+    profile_arrive p pc
+  end;
   p.p_insns <- p.p_insns + 1;
   bump p.p_pc_counts pc;
-  if pc <> p.p_last_pc + 4 then begin
-    p.p_block_entries <- p.p_block_entries + 1;
-    bump p.p_block_counts pc;
-    (* call/return bookkeeping: non-sequential arrival is where a pending
-       transfer lands *)
-    if p.p_pending_call <> min_int && pending_live p then begin
-      if p.p_depth < max_cct_depth then begin
-        let child =
-          match Hashtbl.find_opt p.p_cur.cc_children pc with
-          | Some c -> c
-          | None ->
-              let c = new_cct pc in
-              Hashtbl.add p.p_cur.cc_children pc c;
-              c
-        in
-        p.p_stack <- { cf_node = p.p_cur; cf_ret = p.p_pending_call } :: p.p_stack;
-        p.p_depth <- p.p_depth + 1;
-        p.p_cur <- child
-      end
-    end
-    else if p.p_pending_ret && pending_live p then begin
-      (* pop to the frame expecting this return address; unwinding through
-         intermediate frames handles tail-call escapes, and a return to an
-         address no frame expects (e.g. a computed jump) pops nothing *)
-      let rec unwind stack depth =
-        match stack with
-        | fr :: rest when fr.cf_ret = pc -> Some (fr.cf_node, rest, depth - 1)
-        | _ :: rest -> unwind rest (depth - 1)
-        | [] -> None
-      in
-      match unwind p.p_stack p.p_depth with
-      | Some (node, rest, depth) ->
-          p.p_cur <- node;
-          p.p_stack <- rest;
-          p.p_depth <- depth
-      | None -> ()
-    end;
-    p.p_pending_call <- min_int;
-    p.p_pending_ret <- false
-  end;
   p.p_last_pc <- pc;
   let k = iclass_of insn in
   p.p_class_counts.(k) <- p.p_class_counts.(k) + 1;
   p.p_cur.cc_self <- p.p_cur.cc_self + 1;
   p.p_cur.cc_classes.(k) <- p.p_cur.cc_classes.(k) + 1;
-  (* arm call/return tracking off the instruction just recorded: call and
-     call-through-register (jmpl leaving the return address in %o7/%i7)
-     push on landing; any other jmpl is a potential return *)
-  match insn with
-  | Insn.Call _ ->
-      p.p_pending_call <- pc + 8;
-      p.p_pending_at <- p.p_insns
-  | Insn.Jmpl { rd; _ } ->
-      if rd = 15 || rd = 31 then begin
-        p.p_pending_call <- pc + 8;
-        p.p_pending_at <- p.p_insns
-      end
-      else begin
-        p.p_pending_ret <- true;
-        p.p_pending_at <- p.p_insns
-      end
-  | _ -> ()
+  profile_arm p ~pc ~at:p.p_insns (arm_of insn)
 
 (** Times the block led by [pc] was entered via a control transfer (or
     program start); 0 for addresses only ever reached by fall-through. *)
@@ -421,12 +440,14 @@ type t = {
   mutable alt_run : (int -> unit) option;
       (** alternate execution engine (the tier-2 block compiler installs
           itself here; see lib/emu/tier2.ml). {!run} dispatches to it with
-          the fuel budget {e only} when no per-instruction hook, no
-          profile and no poke plan is armed — those demand the
-          interpreter's per-step visibility, so an armed one silently
-          forces tier-1. The engine must leave [pc]/[npc]/[ninsns]
-          materialized whenever it raises or returns, and must raise
-          {!Fault} / {!Out_of_fuel} exactly as the interpreter would. *)
+          the fuel budget whenever no per-instruction hook and no poke
+          plan is armed — those demand the interpreter's per-step
+          visibility, so an armed one silently forces tier-1. An armed
+          {!profile} does not: the engine must keep it exactly as
+          {!profile_step} would. The engine must leave [pc]/[npc]/[ninsns]
+          (and the profile) materialized whenever it raises or returns,
+          and must raise {!Fault} / {!Out_of_fuel} exactly as the
+          interpreter would. *)
   mutable on_invalidate : (int -> unit) option;
       (** notified with the word-aligned address every time a store or
           poke lands on a decoded slot of the predecode table
@@ -926,23 +947,23 @@ type result = {
     {!Out_of_fuel} after [fuel] instructions (default 200M). When an
     observable-event sink is installed, faults and fuel exhaustion are
     recorded in the log (as {!Ob_fault} / {!Ob_fuel}) before the exception
-    propagates, so the log always carries the run's terminal event. *)
+    propagates, so the log always carries the run's terminal event.
+
+    An attached engine ([alt_run], e.g. tier-2) takes the run unless a
+    per-instruction hook or a poke plan is armed; an armed profile it
+    keeps itself, so profiled runs execute compiled code too. *)
 let run ?(fuel = 200_000_000) t =
   try
     (* dispatch once: the per-step hook/profile matches are paid only by
        machines that actually installed one *)
-    (match (t.hook, t.profile) with
-    | None, None when t.pokes = [] -> (
-        (* an attached tier-2 engine takes over only here: hooks,
-           profiles and poke plans need per-instruction interpretation *)
-        match t.alt_run with
-        | Some engine -> engine fuel
-        | None ->
-            while t.exited = None do
-              if t.ninsns >= fuel then raise Out_of_fuel;
-              step_plain t
-            done)
-    | None, None ->
+    (match (t.hook, t.profile, t.alt_run) with
+    | None, _, Some engine when t.pokes = [] -> engine fuel
+    | None, None, _ when t.pokes = [] ->
+        while t.exited = None do
+          if t.ninsns >= fuel then raise Out_of_fuel;
+          step_plain t
+        done
+    | None, None, _ ->
         (* a fault plan is pending: same fast stepper, plus the due-poke
            check; once the plan drains the check is a single comparison *)
         while t.exited = None do

@@ -39,13 +39,28 @@
       unlinks it from its chain predecessors. A block that invalidates
       {e itself} completes the store — its effects are exactly tier-1's —
       and deopts at the next instruction boundary;
-    - {b armed instrumentation} — per-instruction hooks, ground-truth
-      profiles and poke plans need the interpreter; {!Emu.run} never
-      dispatches to tier-2 while one is armed. Observable-event sinks
-      ({!Emu.set_obs}) {e are} supported in compiled code: stores emit
-      [Ob_store] from the closure with their static pc, after the fault
-      pre-check, so the differential oracle can diff a tier-2 run against
-      a tier-1 run event-for-event (and does, corpus-wide, in the tests).
+    - {b armed instrumentation} — per-instruction hooks and poke plans
+      need the interpreter; {!Emu.run} never dispatches to tier-2 while
+      one is armed. Observable-event sinks ({!Emu.set_obs}) {e are}
+      supported in compiled code: stores emit [Ob_store] from the closure
+      with their static pc, after the fault pre-check, so the
+      differential oracle can diff a tier-2 run against a tier-1 run
+      event-for-event (and does, corpus-wide, in the tests). So are
+      ground-truth profiles (see below).
+
+    {2 Profiling compiled code}
+
+    An armed {!Emu.profile} stays exact without per-instruction work. A
+    block's instructions are sequential, so only its first can be a block
+    entry, and each exit path runs a prefix of its words. {!compile}
+    summarizes every path once (length, class mix from {!Emu.iclass_of},
+    the call or return its terminator arms) with a run counter. At each
+    block exit the chain driver runs {!Emu.profile_arrive} for a
+    non-sequential entry, adds the path to the current calling context
+    and bumps the path's counter; per-pc, per-block and class counts are
+    folded into the profile's tables when {!run} returns or raises and
+    when a block is killed. An OSR deopt replays {!Emu.profile_step} over
+    the prefix of the block that ran.
 
     {2 Code cache}
 
@@ -69,7 +84,6 @@ exception Deopt
 type cblock = {
   cb_pc : int;  (** entry address *)
   cb_len : int;  (** worst-case dynamic instructions per execution *)
-  cb_words : int;  (** text words covered (body + terminator + delay) *)
   cb_entry : unit -> int;
       (** run the block; returns the successor pc with pc/npc/ninsns
           already materialized (or raises {!Deopt} / never returns) *)
@@ -77,6 +91,24 @@ type cblock = {
   mutable cb_fall : cblock option;  (** chained fall-through successor *)
   mutable cb_preds : cblock list;  (** blocks chaining {e to} this one *)
   mutable cb_dead : bool;
+  cb_insns : Insn.t array;
+      (** the words covered (body + terminator + delay), as compiled *)
+  cb_paths : path array;
+      (** exit paths by [cb_len - length]: the full path, then (after an
+          annulling branch) the one that skips the delay slot *)
+  mutable cb_arrivals : int;
+      (** profiled non-sequential entries not yet folded *)
+}
+
+(** One exit path of a compiled block, summarized for the profile: the
+    path runs the block's first [pa_len] words. *)
+and path = {
+  pa_len : int;
+  pa_last : int;  (** pc of the path's last instruction *)
+  pa_mix : int array;  (** [class; count] pairs, flattened *)
+  pa_arm : Emu.arm;  (** what the path's control transfer arms *)
+  pa_arm_idx : int;  (** block index of that transfer *)
+  mutable pa_runs : int;  (** profiled runs not yet folded *)
 }
 
 (** Per-entry-pc compilation state. [Cold] counts non-sequential arrivals
@@ -101,12 +133,17 @@ type t = {
           have unique entry pcs, so this identifies the block *)
   mutable t2_pending : bool;
       (** the current block invalidated itself; deopt at next boundary *)
+  mutable t2_prof : Emu.profile option;  (** the profile {!run} keeps *)
+  mutable t2_prof_off : int;
+      (** [ninsns - p_insns] for [t2_prof], constant while it is exact *)
   (* stats *)
   mutable t2_compiled : int;
   mutable t2_invalidated : int;
   mutable t2_links : int;
   mutable t2_unlinked : int;
-  mutable t2_deopts : int;
+  mutable t2_fault_deopts : int;
+  mutable t2_store_deopts : int;
+  mutable t2_fuel_exits : int;
   mutable t2_block_runs : int;
   mutable t2_interp_steps : int;
 }
@@ -116,9 +153,15 @@ type t = {
 let max_body = 64
 
 (** Default hotness threshold: non-sequential arrivals at an entry pc
-    before it is compiled. 2 skips one-shot straight-line code (startup)
-    while catching every loop on its second iteration. *)
-let default_threshold = 2
+    before it is compiled. A compiled block repays its compile cost (its
+    closures, path summaries and cover entries, and the garbage they
+    become) only after several runs, so 8 leaves code entered a few
+    times (startup, a routine called twice) to the interpreter while
+    catching every loop on its eighth iteration. On the oracle's short
+    profiled runs, where most blocks are entered two or three times, and
+    on a 200-routine generated program, thresholds of 2 and 4 made a
+    profiled [Emu.run] slower than tier-1. *)
+let default_threshold = 8
 
 (* ------------------------------------------------------------------ *)
 (* Block discovery                                                     *)
@@ -144,39 +187,46 @@ type term =
   | T_jmpl of { rs1 : int; op2 : Insn.operand; rd : int; bpc : int; delay : Insn.t }
 
 (* Scan a straight-line block starting at [pc] (word-aligned, inside the
-   predecoded range). Returns the body instructions and the terminator,
-   or [None] when the very first instruction is uncompilable. Every word
-   is read through {!Emu.code_insn}, so every word a block covers is
-   decoded in the table, which is what lets {!Emu.invalidate_code} skip
-   stores to words never decoded. *)
+   predecoded range). Returns every word the block covers (body, then any
+   terminator and its delay slot) and the terminator, or [None] when the
+   very first instruction is uncompilable. Every word is read through
+   {!Emu.code_insn}, so every word a block covers is decoded in the
+   table, which is what lets {!Emu.invalidate_code} skip stores to words
+   never decoded. *)
 let scan (m : Emu.t) pc =
   let code_lo = m.Emu.code_lo in
   let len = Array.length m.Emu.code in
   let at i = Emu.code_insn m i in
   let idx0 = (pc - code_lo) asr 2 in
-  let body = ref [] in
+  let words = ref [] in
   let rec go i =
     if i >= len || i - idx0 >= max_body then T_cut (code_lo + (i lsl 2))
     else
       let bpc = code_lo + (i lsl 2) in
-      match at i with
+      let insn = at i in
+      let dcti term =
+        words := at (i + 1) :: insn :: !words;
+        term
+      in
+      match insn with
       | Insn.Bicc { cond; annul; disp22 } when i + 1 < len && body_ok (at (i + 1))
         ->
-          T_bicc { cond; annul; target = W.add bpc (disp22 * 4); bpc; delay = at (i + 1) }
+          dcti
+            (T_bicc
+               { cond; annul; target = W.add bpc (disp22 * 4); bpc; delay = at (i + 1) })
       | Insn.Call { disp30 } when i + 1 < len && body_ok (at (i + 1)) ->
-          T_call { target = W.add bpc (disp30 * 4); bpc; delay = at (i + 1) }
+          dcti (T_call { target = W.add bpc (disp30 * 4); bpc; delay = at (i + 1) })
       | Insn.Jmpl { rs1; op2; rd } when i + 1 < len && body_ok (at (i + 1)) ->
-          T_jmpl { rs1; op2; rd; bpc; delay = at (i + 1) }
-      | insn when body_ok insn ->
-          body := insn :: !body;
+          dcti (T_jmpl { rs1; op2; rd; bpc; delay = at (i + 1) })
+      | _ when body_ok insn ->
+          words := insn :: !words;
           go (i + 1)
       | _ -> T_cut bpc
   in
   let term = go idx0 in
-  let body = Array.of_list (List.rev !body) in
-  match term with
-  | T_cut _ when Array.length body = 0 -> None
-  | _ -> Some (body, term)
+  match !words with
+  | [] -> None
+  | ws -> Some (Array.of_list (List.rev ws), term)
 
 (* ------------------------------------------------------------------ *)
 (* OSR state transfer                                                  *)
@@ -190,7 +240,6 @@ let osr st ~pc ~npc ~n : 'a =
   m.Emu.pc <- pc;
   m.Emu.npc <- npc;
   m.Emu.ninsns <- m.Emu.ninsns + n;
-  st.t2_deopts <- st.t2_deopts + 1;
   raise Deopt
 
 (* Terminator epilogue: materialize the block-boundary machine state and
@@ -229,10 +278,12 @@ let compile_insn st ~pci ~n ~dslot insn k =
      interpreter's). Indices are 5-bit fields from the decoder, in range
      for the unsafe accessors. *)
   let deopt_before () =
+    st.t2_fault_deopts <- st.t2_fault_deopts + 1;
     if dslot then osr st ~pc:pci ~npc:st.t2_next ~n
     else osr st ~pc:pci ~npc:(pci + 4) ~n
   in
   let deopt_after_store () =
+    st.t2_store_deopts <- st.t2_store_deopts + 1;
     if dslot then
       let nx = st.t2_next in
       osr st ~pc:nx ~npc:(nx + 4) ~n:(n + 1)
@@ -848,28 +899,56 @@ let cover_add st wa cb =
   | Some l -> l := cb :: !l
   | None -> Hashtbl.add st.t2_cover wa (ref [ cb ])
 
+(* The profile summary of the path through the first [len] of [words],
+   a block entered at [pc]. *)
+let path_of pc (words : Insn.t array) len =
+  let counts = Array.make (Array.length Emu.iclass_names) 0 in
+  let arm = ref Emu.No_arm and arm_idx = ref 0 in
+  for i = 0 to len - 1 do
+    let k = Emu.iclass_of words.(i) in
+    counts.(k) <- counts.(k) + 1;
+    match Emu.arm_of words.(i) with
+    | Emu.No_arm -> ()
+    | a ->
+        arm := a;
+        arm_idx := i
+  done;
+  let mix = ref [] in
+  Array.iteri (fun k n -> if n > 0 then mix := k :: n :: !mix) counts;
+  {
+    pa_len = len;
+    pa_last = pc + ((len - 1) lsl 2);
+    pa_mix = Array.of_list !mix;
+    pa_arm = !arm;
+    pa_arm_idx = !arm_idx;
+    pa_runs = 0;
+  }
+
 (* Compile the block at [pc] and register it in the cache. [None] when
    the leading instruction cannot head a block. *)
 let compile st pc =
   match scan st.t2_emu pc with
   | None -> None
-  | Some (body, term) ->
-      let nb = Array.length body in
-      let words, len =
+  | Some (words, term) ->
+      let len = Array.length words in
+      let nb, paths =
         match term with
-        | T_cut _ -> (nb, nb)
-        | _ -> (nb + 2, nb + 2)
+        | T_cut _ -> (len, [ len ])
+        | T_bicc { annul = true; _ } -> (len - 2, [ len; len - 1 ])
+        | _ -> (len - 2, [ len ])
       in
       let tail = compile_term st ~nb term in
       let entry = ref tail in
       for i = nb - 1 downto 0 do
-        entry := compile_insn st ~pci:(pc + (i lsl 2)) ~n:i ~dslot:false body.(i) !entry
+        entry := compile_insn st ~pci:(pc + (i lsl 2)) ~n:i ~dslot:false words.(i) !entry
       done;
       let cb =
         {
           cb_pc = pc;
           cb_len = len;
-          cb_words = words;
+          cb_insns = words;
+          cb_paths = Array.of_list (List.map (path_of pc words) paths);
+          cb_arrivals = 0;
           cb_entry = !entry;
           cb_taken = None;
           cb_fall = None;
@@ -877,12 +956,71 @@ let compile st pc =
           cb_dead = false;
         }
       in
-      for w = 0 to words - 1 do
+      for w = 0 to len - 1 do
         cover_add st (pc + (w lsl 2)) cb
       done;
       st.t2_compiled <- st.t2_compiled + 1;
       Hashtbl.replace st.t2_entries pc (Compiled cb);
       Some cb
+
+(* ------------------------------------------------------------------ *)
+(* Profile accounting                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Add [times] runs of a path's class mix to [classes]. *)
+let add_mix classes mix times =
+  for j = 0 to (Array.length mix / 2) - 1 do
+    let k = mix.(2 * j) in
+    classes.(k) <- classes.(k) + (times * mix.((2 * j) + 1))
+  done
+
+(* Profile one completed run of [cb]. The instructions it retired are the
+   ones the profile has not recorded yet; their count names the path. The
+   arrival step runs first, as tier-1's would for a non-sequential entry,
+   so the path lands in the calling context it selects. *)
+let account st (p : Emu.profile) cb =
+  let before = p.Emu.p_insns in
+  let len = st.t2_emu.Emu.ninsns - st.t2_prof_off - before in
+  if cb.cb_pc <> p.Emu.p_last_pc + 4 then begin
+    cb.cb_arrivals <- cb.cb_arrivals + 1;
+    Emu.profile_arrive p cb.cb_pc
+  end;
+  let pa = cb.cb_paths.(cb.cb_len - len) in
+  pa.pa_runs <- pa.pa_runs + 1;
+  p.Emu.p_insns <- before + len;
+  p.Emu.p_last_pc <- pa.pa_last;
+  let cur = p.Emu.p_cur in
+  cur.Emu.cc_self <- cur.Emu.cc_self + len;
+  add_mix cur.Emu.cc_classes pa.pa_mix 1;
+  Emu.profile_arm p
+    ~pc:(cb.cb_pc + (pa.pa_arm_idx lsl 2))
+    ~at:(before + pa.pa_arm_idx + 1) pa.pa_arm
+
+(* An OSR transfer left [cb] part-way: replay tier-1's profile step over
+   the prefix it retired. *)
+let replay st (p : Emu.profile) cb =
+  let n = st.t2_emu.Emu.ninsns - st.t2_prof_off - p.Emu.p_insns in
+  for i = 0 to n - 1 do
+    Emu.profile_step p ~pc:(cb.cb_pc + (i lsl 2)) cb.cb_insns.(i)
+  done
+
+(* Fold [cb]'s unfolded counters into the profile's tables. *)
+let fold (p : Emu.profile) cb =
+  if cb.cb_arrivals > 0 then begin
+    Emu.bump_by p.Emu.p_block_counts cb.cb_pc cb.cb_arrivals;
+    cb.cb_arrivals <- 0
+  end;
+  Array.iter
+    (fun pa ->
+      let runs = pa.pa_runs in
+      if runs > 0 then begin
+        pa.pa_runs <- 0;
+        for i = 0 to pa.pa_len - 1 do
+          Emu.bump_by p.Emu.p_pc_counts (cb.cb_pc + (i lsl 2)) runs
+        done;
+        add_mix p.Emu.p_class_counts pa.pa_mix runs
+      end)
+    cb.cb_paths
 
 (* ------------------------------------------------------------------ *)
 (* Invalidation                                                        *)
@@ -891,11 +1029,12 @@ let compile st pc =
 let kill st cb =
   if not cb.cb_dead then begin
     cb.cb_dead <- true;
+    Option.iter (fun p -> fold p cb) st.t2_prof;
     st.t2_invalidated <- st.t2_invalidated + 1;
     (match Hashtbl.find_opt st.t2_entries cb.cb_pc with
     | Some (Compiled cb') when cb' == cb -> Hashtbl.remove st.t2_entries cb.cb_pc
     | _ -> ());
-    for w = 0 to cb.cb_words - 1 do
+    for w = 0 to cb.cb_len - 1 do
       match Hashtbl.find_opt st.t2_cover (cb.cb_pc + (w lsl 2)) with
       | Some l -> l := List.filter (fun b -> b != cb) !l
       | None -> ()
@@ -976,15 +1115,19 @@ let rec chain st fuel cb =
   st.t2_block_runs <- st.t2_block_runs + 1;
   st.t2_cur_pc <- cb.cb_pc;
   match cb.cb_entry () with
-  | exception Deopt -> st.t2_cur_pc <- -1
+  | exception Deopt -> (
+      st.t2_cur_pc <- -1;
+      match st.t2_prof with None -> () | Some p -> replay st p cb)
   | next -> (
       st.t2_cur_pc <- -1;
+      (match st.t2_prof with None -> () | Some p -> account st p cb);
       match st.t2_exit with
       | 0 | 1 -> (
           let taken = st.t2_exit = 1 in
           match if taken then cb.cb_taken else cb.cb_fall with
           | Some nxt ->
               if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
+              else st.t2_fuel_exits <- st.t2_fuel_exits + 1
           | None -> (
               match resolve st next with
               | R_run nxt ->
@@ -993,21 +1136,30 @@ let rec chain st fuel cb =
                   nxt.cb_preds <- cb :: nxt.cb_preds;
                   st.t2_links <- st.t2_links + 1;
                   if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
+                  else st.t2_fuel_exits <- st.t2_fuel_exits + 1
               | _ -> ()))
       | 2 -> (
           match resolve st next with
-          | R_run nxt when fuel - m.Emu.ninsns >= nxt.cb_len ->
-              chain st fuel nxt
+          | R_run nxt ->
+              if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
+              else st.t2_fuel_exits <- st.t2_fuel_exits + 1
           | _ -> ())
       | _ -> ())
 
-(* The engine's outer loop ({!Emu.t}'s [alt_run]): interpret one
-   instruction at a time, watching for block-entry arrivals; once an
-   arrival is hot its compiled block (and everything chained behind it)
-   runs without touching pc/npc. Fuel is enforced here and by the
-   chain driver's worst-case entry gate, so {!Emu.Out_of_fuel} always
-   fires from the interpreter loop at the exact cutoff. *)
-let run st fuel =
+let deopts st = st.t2_fault_deopts + st.t2_store_deopts
+
+(* One tier-1 step; {!Emu.step} records it in an armed profile. *)
+let interp st m =
+  (match st.t2_prof with None -> Emu.step_plain m | Some _ -> Emu.step m);
+  st.t2_interp_steps <- st.t2_interp_steps + 1
+
+(* The engine's outer loop: interpret one instruction at a time, watching
+   for block-entry arrivals; once an arrival is hot its compiled block
+   (and everything chained behind it) runs without touching pc/npc. Fuel
+   is enforced here and by the chain driver's worst-case entry gate, so
+   {!Emu.Out_of_fuel} always fires from the interpreter loop at the exact
+   cutoff. *)
+let loop st fuel =
   let m = st.t2_emu in
   (* the entry point is an arrival; thereafter any non-sequential pc is *)
   let arrival = ref true in
@@ -1017,23 +1169,24 @@ let run st fuel =
     if !arrival then begin
       match resolve st pc0 with
       | R_run cb when fuel - m.Emu.ninsns >= cb.cb_len ->
-          let d0 = st.t2_deopts in
+          let d0 = deopts st in
           chain st fuel cb;
           (* chain exits at a block boundary: still an arrival. After an
              OSR transfer, though, the resumed pc must take at least one
              tier-1 step: a deopt-before cause (div-by-zero, a faulting
              access) would recur identically if the pc were re-resolved
              into a block whose leader is the deopting instruction. *)
-          if st.t2_deopts > d0 && m.Emu.exited = None && m.Emu.ninsns < fuel
+          if deopts st > d0 && m.Emu.exited = None && m.Emu.ninsns < fuel
           then begin
             let p = m.Emu.pc in
-            Emu.step_plain m;
-            st.t2_interp_steps <- st.t2_interp_steps + 1;
+            interp st m;
             arrival := m.Emu.pc <> p + 4
           end
       | r ->
-          Emu.step_plain m;
-          st.t2_interp_steps <- st.t2_interp_steps + 1;
+          (match r with
+          | R_run _ -> st.t2_fuel_exits <- st.t2_fuel_exits + 1
+          | _ -> ());
+          interp st m;
           (* after an uncompilable leader (a trap, say), the sequential
              successor is a fresh leader too — without this, the tail
              after every syscall would never tier up *)
@@ -1041,11 +1194,51 @@ let run st fuel =
             m.Emu.pc <> pc0 + 4 || (match r with R_uncomp -> true | _ -> false)
     end
     else begin
-      Emu.step_plain m;
-      st.t2_interp_steps <- st.t2_interp_steps + 1;
+      interp st m;
       arrival := m.Emu.pc <> pc0 + 4
     end
   done
+
+(* The per-run deltas {!run} adds to the [emu.tier2.*] counters. *)
+let counters st =
+  [
+    ("compiled", st.t2_compiled);
+    ("block_runs", st.t2_block_runs);
+    ("interp_steps", st.t2_interp_steps);
+    ("links", st.t2_links);
+    ("invalidated", st.t2_invalidated);
+    ("fuel_exits", st.t2_fuel_exits);
+    ("deopts.fault", st.t2_fault_deopts);
+    ("deopts.self_store", st.t2_store_deopts);
+  ]
+
+(* The engine's entry ({!Emu.t}'s [alt_run]). However the loop ends, the
+   profile gets every live block's counters and the metrics registry the
+   run's share of the stats. *)
+let run st fuel =
+  let m = st.t2_emu in
+  st.t2_prof <- m.Emu.profile;
+  Option.iter (fun p -> st.t2_prof_off <- m.Emu.ninsns - p.Emu.p_insns) st.t2_prof;
+  let before = counters st in
+  let finish () =
+    Option.iter
+      (fun p ->
+        Hashtbl.iter
+          (fun _ s -> match s with Compiled cb -> fold p cb | _ -> ())
+          st.t2_entries)
+      st.t2_prof;
+    st.t2_prof <- None;
+    List.iter2
+      (fun (name, n0) (_, n) ->
+        Eel_obs.Metrics.incr ~by:(n - n0)
+          (Eel_obs.Metrics.counter ("emu.tier2." ^ name)))
+      before (counters st)
+  in
+  match loop st fuel with
+  | () -> finish ()
+  | exception e ->
+      finish ();
+      raise e
 
 (* ------------------------------------------------------------------ *)
 (* Attachment and inquiry                                              *)
@@ -1053,7 +1246,8 @@ let run st fuel =
 
 (** [attach ?threshold m] installs the tier-2 engine on a loaded machine:
     {!Emu.run} will dispatch whole-run execution to it whenever no
-    per-instruction instrumentation is armed, and every text invalidation
+    per-instruction hook or poke plan is armed (it keeps an armed
+    profile itself), and every text invalidation
     is forwarded to the code cache. Returns [None] when the machine has
     no predecoded text (tier-2 rides on the predecode table). *)
 let attach ?(threshold = default_threshold) (m : Emu.t) =
@@ -1071,11 +1265,15 @@ let attach ?(threshold = default_threshold) (m : Emu.t) =
         t2_exit = 0;
         t2_cur_pc = -1;
         t2_pending = false;
+        t2_prof = None;
+        t2_prof_off = 0;
         t2_compiled = 0;
         t2_invalidated = 0;
         t2_links = 0;
         t2_unlinked = 0;
-        t2_deopts = 0;
+        t2_fault_deopts = 0;
+        t2_store_deopts = 0;
+        t2_fuel_exits = 0;
         t2_block_runs = 0;
         t2_interp_steps = 0;
       }
@@ -1098,6 +1296,11 @@ type stats = {
   st_links : int;  (** direct block-to-block chains installed *)
   st_unlinked : int;  (** chain slots severed by invalidation *)
   st_deopts : int;  (** OSR transfers back to the interpreter *)
+  st_deopts_fault : int;
+      (** of which a fault pre-check (bad access, division by zero) *)
+  st_deopts_store : int;  (** of which a store into the running block *)
+  st_fuel_exits : int;
+      (** compiled blocks not entered: fuel short of their worst case *)
   st_block_runs : int;  (** compiled block executions *)
   st_interp_steps : int;  (** instructions run in the tier-1 loop *)
 }
@@ -1114,7 +1317,10 @@ let stats st =
     st_invalidated = st.t2_invalidated;
     st_links = st.t2_links;
     st_unlinked = st.t2_unlinked;
-    st_deopts = st.t2_deopts;
+    st_deopts = deopts st;
+    st_deopts_fault = st.t2_fault_deopts;
+    st_deopts_store = st.t2_store_deopts;
+    st_fuel_exits = st.t2_fuel_exits;
     st_block_runs = st.t2_block_runs;
     st_interp_steps = st.t2_interp_steps;
   }

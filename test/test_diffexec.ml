@@ -156,16 +156,18 @@ let test_predecode_self_differential () =
         (a.Dx.r_events = b.Dx.r_events))
     (Corpus.all ())
 
-(* the tier-2 block engine (ISSUE 10) under the oracle's own event sink:
-   every program of BOTH corpora — CPU-bound and OS-bound — must produce
-   a byte-identical observable run under block compilation and under
-   pure interpretation: same stop condition, same event log (order and
-   payloads), same instruction count, output and final register file.
-   This is the acceptance gate for OSR exactness: obs sinks are armed,
-   so every compiled store emits its event from inside the closure. *)
+(* the tier-2 block engine under the oracle's own event sink: every
+   program of BOTH corpora — CPU-bound and OS-bound — and each of its six
+   tool edits must produce a byte-identical observable run under block
+   compilation and under pure interpretation: same stop condition, same
+   event log (order and payloads), same instruction count, output and
+   final register file, and the same ground-truth profile. This is the
+   acceptance gate for OSR exactness: obs sinks and profiles are armed,
+   so every compiled store emits its event from inside the closure and
+   every compiled block keeps the profile. *)
 let check_tier_self_differential name ?os exe =
   let exec tier =
-    match Dx.execute ?os ~tier exe with
+    match Dx.execute ?os ~profile:true ~tier exe with
     | Ok r -> r
     | Error e -> Alcotest.failf "%s: %s" name (Diag.error_message e)
   in
@@ -182,16 +184,32 @@ let check_tier_self_differential name ?os exe =
   Alcotest.(check int) (name ^ ": same insns") b.Dx.r_insns a.Dx.r_insns;
   Alcotest.(check string) (name ^ ": same output") b.Dx.r_out a.Dx.r_out;
   Alcotest.(check (array int)) (name ^ ": same registers") b.Dx.r_regs
-    a.Dx.r_regs
+    a.Dx.r_regs;
+  match (b.Dx.r_profile, a.Dx.r_profile) with
+  | Some pb, Some pa -> Profile_check.check (name ^ ": same profile") pb pa
+  | _ -> Alcotest.failf "%s: no profile" name
+
+(* the program itself, then each tool's edit of it *)
+let check_tier_self_differential_edits name ?os exe =
+  check_tier_self_differential name ?os exe;
+  List.iter
+    (fun tool ->
+      match Eel_tools.Toolbox.apply tool mach exe with
+      | Ok ap ->
+          check_tier_self_differential (name ^ "+" ^ tool) ?os
+            ap.Eel_tools.Toolbox.ap_edited
+      | Error m -> Alcotest.failf "%s: %s" name m)
+    Eel_tools.Toolbox.names
 
 let test_tier2_self_differential () =
   List.iter
-    (fun (name, exe) -> check_tier_self_differential name exe)
+    (fun (name, exe) -> check_tier_self_differential_edits name exe)
     (Corpus.all ())
 
 let test_tier2_self_differential_os () =
   List.iter
-    (fun (name, exe, spec) -> check_tier_self_differential name ~os:spec exe)
+    (fun (name, exe, spec) ->
+      check_tier_self_differential_edits name ~os:spec exe)
     (Corpus.all_os ())
 
 (* ------------------------------------------------------------------ *)

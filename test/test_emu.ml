@@ -569,10 +569,12 @@ let load_tier ~tier exe =
   let eng = if tier = Tier2.Block then Tier2.attach ~threshold:1 t else None in
   (t, eng)
 
-let events_with_fuel ~tier ~fuel exe =
+let events_with_fuel ?(profile = false) ~tier ~fuel exe =
   let t, _ = load_tier ~tier exe in
   let log = Emu.obs_log () in
   Emu.set_obs t (Some log);
+  let prof = if profile then Some (Emu.create_profile ()) else None in
+  Emu.set_profile t prof;
   let stop =
     match Emu.run ~fuel t with
     | r -> Printf.sprintf "exit %d" r.Emu.exit_code
@@ -582,7 +584,8 @@ let events_with_fuel ~tier ~fuel exe =
   ( List.map (Format.asprintf "%a" Emu.pp_obs) (Emu.obs_events log),
     Emu.insns_executed t,
     Emu.registers t,
-    stop )
+    stop,
+    prof )
 
 let fuel_parity_src =
   {|
@@ -612,22 +615,37 @@ let test_fuel_boundary_parity () =
      event log, the Ob_fuel terminator's pc, the final register file and
      the stop condition must be tier-independent — in particular at the
      cutoffs that split a bne from its delay slot, and at every cutoff
-     that falls inside a compiled block's worst-case span *)
+     that falls inside a compiled block's worst-case span. Profiled runs
+     must also record tier-1's profile, which tier-2 folds on the way out
+     of an Out_of_fuel. *)
   let full = run_mode ~predecode:true fuel_parity_src in
   let n = full.Emu.insns in
   for fuel = 1 to n + 1 do
-    let eb, ib, rb, sb = events_with_fuel ~tier:Tier2.Interp ~fuel exe in
+    let eb, ib, rb, sb, pb =
+      events_with_fuel ~profile:true ~tier:Tier2.Interp ~fuel exe
+    in
     List.iter
-      (fun tr ->
+      (fun (tr, profile) ->
         let chk what =
-          Printf.sprintf "%s %s at fuel %d" (Tier2.tier_name tr) what fuel
+          Printf.sprintf "%s%s %s at fuel %d" (Tier2.tier_name tr)
+            (if profile then " (profiled)" else "")
+            what fuel
         in
-        let ea, ia, ra, sa = events_with_fuel ~tier:tr ~fuel exe in
+        let ea, ia, ra, sa, pa = events_with_fuel ~profile ~tier:tr ~fuel exe in
         Alcotest.(check string) (chk "stop") sb sa;
         Alcotest.(check int) (chk "insns") ib ia;
         Alcotest.(check (list string)) (chk "events") eb ea;
-        Alcotest.(check (array int)) (chk "registers") rb ra)
-      [ Tier2.Predecode; Tier2.Block ]
+        Alcotest.(check (array int)) (chk "registers") rb ra;
+        match (pb, pa) with
+        | Some pb, Some pa -> Profile_check.check (chk "profile") pb pa
+        | _ -> ())
+      [
+        (Tier2.Interp, false);
+        (Tier2.Predecode, false);
+        (Tier2.Predecode, true);
+        (Tier2.Block, false);
+        (Tier2.Block, true);
+      ]
   done
 
 let test_poke_mode_parity () =
@@ -700,44 +718,77 @@ let test_poke_invalid_dropped () =
    every boundary of a chained block pair and under stores into compiled
    text. *)
 
-let run_tier ?(pokes = []) ~tier src =
+type tier_run = {
+  tr_stop : string;
+  tr_events : string list;
+  tr_insns : int;
+  tr_regs : int array;
+  tr_out : string;
+  tr_engine : Tier2.t option;
+  tr_profile : Emu.profile option;
+}
+
+let run_tier ?(pokes = []) ?(profile = false) ~tier src =
   let t, eng = load_tier ~tier (assemble_exe src) in
   let log = Emu.obs_log () in
   Emu.set_obs t (Some log);
   Emu.set_pokes t pokes;
+  let prof = if profile then Some (Emu.create_profile ()) else None in
+  Emu.set_profile t prof;
   let stop =
     match Emu.run t with
     | r -> Printf.sprintf "exit %d" r.Emu.exit_code
     | exception Emu.Fault m -> "fault: " ^ m
     | exception Emu.Out_of_fuel -> "fuel"
   in
-  ( stop,
-    List.map (Format.asprintf "%a" Emu.pp_obs) (Emu.obs_events log),
-    Emu.insns_executed t,
-    Emu.registers t,
-    Emu.output t,
-    eng )
+  {
+    tr_stop = stop;
+    tr_events = List.map (Format.asprintf "%a" Emu.pp_obs) (Emu.obs_events log);
+    tr_insns = Emu.insns_executed t;
+    tr_regs = Emu.registers t;
+    tr_out = Emu.output t;
+    tr_engine = eng;
+    tr_profile = prof;
+  }
 
-(* Run [src] under all three tiers, demand an identical observable run,
-   and return the tier-2 engine's stats for structural assertions. *)
-let check_tiers_agree ?pokes name src =
-  let sb, eb, ib, rb, ob, _ = run_tier ?pokes ~tier:Tier2.Interp src in
-  let check tr =
-    let chk what =
-      Printf.sprintf "%s [%s] %s" name (Tier2.tier_name tr) what
-    in
-    let sa, ea, ia, ra, oa, eng = run_tier ?pokes ~tier:tr src in
-    Alcotest.(check string) (chk "stop") sb sa;
-    Alcotest.(check (list string)) (chk "events") eb ea;
-    Alcotest.(check int) (chk "insns") ib ia;
-    Alcotest.(check (array int)) (chk "registers") rb ra;
-    Alcotest.(check string) (chk "output") ob oa;
-    eng
-  in
-  ignore (check Tier2.Predecode);
-  match check Tier2.Block with
+let engine_stats name r =
+  match r.tr_engine with
   | Some st -> Tier2.stats st
   | None -> Alcotest.failf "%s: tier-2 engine failed to attach" name
+
+(* Run [src] under all three tiers, each with and without a profile
+   armed. Demand an identical observable run everywhere, tier-1's profile
+   from every profiled run, and the same compiled execution from the
+   block tier whether or not it keeps a profile; return the tier-2
+   engine's stats for structural assertions. *)
+let check_tiers_agree ?pokes name src =
+  let base = run_tier ?pokes ~profile:true ~tier:Tier2.Interp src in
+  let check ~profile tr =
+    let chk what =
+      Printf.sprintf "%s [%s%s] %s" name (Tier2.tier_name tr)
+        (if profile then ", profiled" else "")
+        what
+    in
+    let r = run_tier ?pokes ~profile ~tier:tr src in
+    Alcotest.(check string) (chk "stop") base.tr_stop r.tr_stop;
+    Alcotest.(check (list string)) (chk "events") base.tr_events r.tr_events;
+    Alcotest.(check int) (chk "insns") base.tr_insns r.tr_insns;
+    Alcotest.(check (array int)) (chk "registers") base.tr_regs r.tr_regs;
+    Alcotest.(check string) (chk "output") base.tr_out r.tr_out;
+    (match (base.tr_profile, r.tr_profile) with
+    | Some pb, Some pa -> Profile_check.check (chk "profile") pb pa
+    | _ -> ());
+    r
+  in
+  ignore (check ~profile:false Tier2.Interp);
+  ignore (check ~profile:false Tier2.Predecode);
+  ignore (check ~profile:true Tier2.Predecode);
+  let plain = engine_stats name (check ~profile:false Tier2.Block) in
+  let profiled = engine_stats name (check ~profile:true Tier2.Block) in
+  Alcotest.(check bool)
+    (name ^ ": a profile does not change what the block tier runs")
+    true (plain = profiled);
+  plain
 
 let test_tier_parity () =
   (* a spread of control shapes; each must actually run compiled code *)
@@ -846,6 +897,9 @@ let test_tier_osr_boundaries () =
     let name = Printf.sprintf "poison at slot %d" poison in
     let st = check_tiers_agree name (osr_src ~poison) in
     Alcotest.(check bool) (name ^ ": deopted") true (st.Tier2.st_deopts >= 1);
+    Alcotest.(check int)
+      (name ^ ": every deopt is a fault pre-check")
+      st.Tier2.st_deopts st.Tier2.st_deopts_fault;
     Alcotest.(check bool)
       (name ^ ": blocks chained")
       true
@@ -919,12 +973,11 @@ Lb:     st %l3, [%l2]
     "recompiled after invalidation" true
     (st.Tier2.st_compiled > st.Tier2.st_live)
 
-let test_tier_selfstore_deopt () =
-  (* a store into the block currently executing: the engine must finish
-     the store, OSR out at the next boundary (the closure is stale), and
-     resume in tier-1 — every loop iteration *)
-  let src =
-    {|
+(* a store into the block currently executing: the engine must finish
+   the store, OSR out at the next boundary (the closure is stale), and
+   resume in tier-1 — every loop iteration *)
+let selfstore_src =
+  {|
 main:   mov 3, %l0
         set Lself, %l2
         ld [%l2], %l3
@@ -934,13 +987,101 @@ Lself:  add %l4, 1, %l4
         bne Lloop
         nop
 |}
-    ^ exit0
-  in
-  let st = check_tiers_agree "self-store" src in
+  ^ exit0
+
+let test_tier_selfstore_deopt () =
+  let st = check_tiers_agree "self-store" selfstore_src in
   Alcotest.(check bool) "deopted mid-block" true (st.Tier2.st_deopts >= 1);
+  Alcotest.(check int)
+    "every deopt is a self-store" st.Tier2.st_deopts st.Tier2.st_deopts_store;
   Alcotest.(check bool)
     "invalidated itself" true
     (st.Tier2.st_invalidated >= 1)
+
+let test_tier_metrics () =
+  (* one block-tier run adds its stats to the emu.tier2.* counters, with
+     deopts split by reason *)
+  let read name =
+    match Eel_obs.Metrics.find ("emu.tier2." ^ name) with
+    | Some (Eel_obs.Metrics.Int n) -> n
+    | _ -> 0
+  in
+  List.iter
+    (fun (name, src) ->
+      let names = [ "block_runs"; "deopts.fault"; "deopts.self_store" ] in
+      let before = List.map read names in
+      let st = engine_stats name (run_tier ~tier:Tier2.Block src) in
+      Alcotest.(check (list int))
+        (name ^ ": counters grew by the run's stats")
+        [ st.Tier2.st_block_runs; st.Tier2.st_deopts_fault; st.Tier2.st_deopts_store ]
+        (List.map2 ( - ) (List.map read names) before))
+    [ ("osr", osr_src ~poison:4); ("self-store", selfstore_src) ]
+
+let test_tier_profiled_loop () =
+  (* a profiled hot loop on the default engine runs compiled, and its
+     profile still counts every iteration *)
+  let src =
+    {|
+main:   mov 100, %l0
+        mov 0, %l1
+Lloop:  add %l1, %l0, %l1
+        subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+  in
+  let exe = assemble_exe src in
+  let t = Emu.load exe in
+  let st = Option.get (Tier2.attach t) in
+  let p = Emu.create_profile () in
+  Emu.set_profile t (Some p);
+  let r = Emu.run t in
+  Alcotest.(check string) "output" "5050\n" r.Emu.out;
+  Alcotest.(check bool)
+    "compiled blocks ran" true
+    ((Tier2.stats st).Tier2.st_block_runs > 0);
+  Alcotest.(check int) "profile counts every instruction" r.Emu.insns
+    p.Emu.p_insns;
+  Alcotest.(check int) "loop head count" 100
+    (Emu.pc_count p (exe.Sef.entry + 8))
+
+let test_tier_deep_recursion () =
+  (* recursion past the calling-context depth cap: compiled calls and
+     returns must push, cap and unwind the context tree as tier-1 does *)
+  let src =
+    {|
+main:   mov 600, %o0
+        call rec
+        nop
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+rec:    cmp %o0, 0
+        be Lbase
+        nop
+        sub %sp, 8, %sp
+        st %o7, [%sp]
+        call rec
+        sub %o0, 1, %o0
+        ld [%sp], %o7
+        add %sp, 8, %sp
+        add %o0, 2, %o0
+        retl
+        nop
+Lbase:  retl
+        nop
+|}
+  in
+  let st = check_tiers_agree "deep recursion" src in
+  Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
+  let r = run_tier ~profile:true ~tier:Tier2.Block src in
+  Alcotest.(check string) "output" "1200\n" r.tr_out;
+  Alcotest.(check int) "context tree capped" Emu.max_cct_depth
+    (Profile_check.cct_depth (Emu.profile_cct (Option.get r.tr_profile)))
 
 let test_tier_poke_never_fetched () =
   (* the poke lands while the loop runs, before Lcold (main+0x10) is
@@ -960,8 +1101,8 @@ Lcold:  mov 1, %o0
   let at = (assemble_exe src).Sef.entry + 0x10 in
   let pokes = [ { Emu.pk_at = 2; pk_addr = at; pk_value = mov_imm_o0 42 } ] in
   ignore (check_tiers_agree ~pokes "poke-never-fetched" src);
-  let _, _, _, _, out, _ = run_tier ~pokes ~tier:Tier2.Interp src in
-  Alcotest.(check string) "poked word executed" "42\n" out
+  let r = run_tier ~pokes ~tier:Tier2.Interp src in
+  Alcotest.(check string) "poked word executed" "42\n" r.tr_out
 
 let () =
   Alcotest.run "emu"
@@ -1035,6 +1176,12 @@ let () =
             test_tier_invalidate_chained;
           Alcotest.test_case "self-store deopts" `Quick
             test_tier_selfstore_deopt;
+          Alcotest.test_case "metrics split deopts by reason" `Quick
+            test_tier_metrics;
+          Alcotest.test_case "profiled loop runs compiled" `Quick
+            test_tier_profiled_loop;
+          Alcotest.test_case "recursion past the context depth cap" `Quick
+            test_tier_deep_recursion;
           Alcotest.test_case "poke into a never-fetched word" `Quick
             test_tier_poke_never_fetched;
         ] );

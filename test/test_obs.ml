@@ -579,6 +579,64 @@ let test_objdump_trace () =
   Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
+(* eel_run --metrics on the block tier                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_run_metrics_block () =
+  (* the --metrics profile does not force tier-1: the block tier keeps
+     it, reporting the same ground truth as the predecode tier *)
+  let exe =
+    match
+      Eel_sparc.Asm.assemble
+        (Eel_workload.Gen.memory_bound ~iters:4 ~size_words:64 ())
+    with
+    | Ok e -> e
+    | Error m -> Alcotest.failf "asm: %s" m
+  in
+  let sef = Filename.temp_file "eel_obs" ".sef" in
+  let err = Filename.temp_file "eel_obs" ".err" in
+  Sef.write_file sef exe;
+  let run tier =
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s --metrics --tier %s %s > /dev/null 2> %s"
+           (Filename.quote (bin "eel_run.exe"))
+           tier (Filename.quote sef) (Filename.quote err))
+    in
+    let ic = open_in_bin err in
+    let lines =
+      String.split_on_char '\n' (really_input_string ic (in_channel_length ic))
+    in
+    close_in ic;
+    Alcotest.(check int) (tier ^ ": exit") 0 rc;
+    lines
+  in
+  let starts p l =
+    String.length l >= String.length p && String.sub l 0 (String.length p) = p
+  in
+  let profile lines =
+    List.filter (fun l -> starts "emu." l && not (starts "emu.tier2." l)) lines
+  in
+  let block = run "block" and predecode = run "predecode" in
+  Alcotest.(check bool) "no notice" false
+    (List.exists (starts "eel_run:") block);
+  Alcotest.(check bool) "profile published" true (profile block <> []);
+  Alcotest.(check (list string)) "same emu.* lines" (profile predecode)
+    (profile block);
+  let execs =
+    List.find_map
+      (fun l ->
+        if starts "[tier2:" l then
+          Scanf.sscanf_opt l "[tier2: blocks=%_d live=%_d execs=%d" Fun.id
+        else None)
+      block
+  in
+  Alcotest.(check bool) "compiled blocks ran" true
+    (match execs with Some n -> n > 0 | None -> false);
+  Sys.remove sef;
+  Sys.remove err
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -628,5 +686,7 @@ let () =
       ( "tools",
         [
           Alcotest.test_case "eel_objdump --trace" `Quick test_objdump_trace;
+          Alcotest.test_case "eel_run --metrics on the block tier" `Quick
+            test_run_metrics_block;
         ] );
     ]
