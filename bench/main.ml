@@ -812,20 +812,20 @@ let write_observations () =
     (fun i x ->
       if i > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf
-        (Printf.sprintf "\n{\"name\":\"%s\",\"phases\":[" (Trace.json_escape x.x_name));
+        (Printf.sprintf "\n{\"name\":\"%s\",\"phases\":[" (Eel_obs.Json.escape x.x_name));
       List.iteri
         (fun j (span, total_us, count) ->
           if j > 0 then Buffer.add_string buf ",";
           Buffer.add_string buf
             (Printf.sprintf "{\"span\":\"%s\",\"total_us\":%.1f,\"count\":%d}"
-               (Trace.json_escape span) total_us count))
+               (Eel_obs.Json.escape span) total_us count))
         x.x_phases;
       Buffer.add_string buf "],\"metrics\":{";
       List.iteri
         (fun j (name, v) ->
           if j > 0 then Buffer.add_string buf ",";
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":%s" (Trace.json_escape name)
+            (Printf.sprintf "\"%s\":%s" (Eel_obs.Json.escape name)
                (Metrics.value_to_json v)))
         x.x_metrics;
       Buffer.add_string buf "}}")

@@ -10,104 +10,26 @@
 
 module Serve = Eel_service.Serve
 module Proto = Eel_service.Proto
-module Cache = Eel_service.Cache
 module Toolbox = Eel_tools.Toolbox
-module Diffexec = Eel_diffexec.Diffexec
 module Ledger = Eel_obs.Ledger
 
-let make_jobs ~count ~seed = Serve.mixed_jobs ~count ~seed
+let write_lines path lines =
+  let oc = open_out path in
+  List.iter
+    (fun l ->
+      output_string oc l;
+      output_char oc '\n')
+    lines;
+  close_out oc
 
-let () =
-  Printexc.record_backtrace true;
-  let count = ref 100 in
-  let seed = ref 42 in
-  let cache_dir = ref "" in
-  let cache_mb = ref 0 in
-  let jobs = ref 0 in
-  let fuel = ref Diffexec.default_fuel in
-  let emit = ref "" in
-  let out = ref "" in
-  let report = ref "" in
-  let stats = ref "" in
-  let no_result = ref false in
-  let no_analysis = ref false in
-  let expect_cached = ref false in
-  Arg.parse
-    [
-      ("--gen", Arg.Set_int count, "N number of jobs in the corpus (default 100)");
-      ("--seed", Arg.Set_int seed, "S corpus mix seed (default 42)");
-      ( "--emit",
-        Arg.Set_string emit,
-        "FILE write the job corpus as JSONL (for eel_serve) and exit" );
-      ( "--cache-dir",
-        Arg.Set_string cache_dir,
-        "DIR durable cache directory (default $EEL_CACHE_DIR; unset: memory-only)"
-      );
-      ( "--cache-mb",
-        Arg.Set_int cache_mb,
-        "MB disk cache budget (default $EEL_CACHE_MB, else 256)" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N worker domains (default $EEL_JOBS, else cores)" );
-      ( "--fuel",
-        Arg.Set_int fuel,
-        Printf.sprintf "FUEL per-job instruction budget (default %d)"
-          Diffexec.default_fuel );
-      ("--out", Arg.Set_string out, "FILE write per-job response JSONL");
-      ("--report", Arg.Set_string report, "FILE write the summary report JSON");
-      ( "--stats",
-        Arg.Set_string stats,
-        "FILE write cache + throughput stats JSON" );
-      ( "--no-result-cache",
-        Arg.Set no_result,
-        " disable the whole-job result cache" );
-      ( "--no-analysis-cache",
-        Arg.Set no_analysis,
-        " disable the per-routine analysis cache" );
-      ( "--expect-cached",
-        Arg.Set expect_cached,
-        " fail if any successful job was not served from the result cache" );
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "eel_batch [options]  -- run a deterministic mixed job corpus through the service";
-  let batch = make_jobs ~count:!count ~seed:!seed in
-  if !emit <> "" then (
-    let oc = open_out !emit in
-    List.iter
-      (fun j ->
-        output_string oc (Proto.job_to_line j);
-        output_char oc '\n')
-      batch;
-    close_out oc;
-    Printf.eprintf "eel_batch: wrote %d job(s) to %s\n%!" !count !emit;
-    exit 0);
-  let cache =
-    Cache.create
-      ?dir:(if !cache_dir = "" then None else Some !cache_dir)
-      ?disk_budget_bytes:
-        (if !cache_mb > 0 then Some (!cache_mb * 1024 * 1024) else None)
-      ()
-  in
-  let cfg =
-    {
-      (Serve.default_config cache) with
-      Serve.c_use_result = not !no_result;
-      c_use_analysis = not !no_analysis;
-      c_fuel = !fuel;
-    }
-  in
-  let jobs = if !jobs > 0 then Some !jobs else None in
+(* Run the corpus through the service engine, print the per-tool table and
+   write the --out / --report / --stats artifacts. *)
+let run service ~count ~seed ~out ~report batch =
+  let cache, cfg, jobs = Cli.Service.setup service in
   let t0 = Unix.gettimeofday () in
   let results = Serve.run_batch ?jobs cfg batch in
   let dt = Unix.gettimeofday () -. t0 in
-  (if !out <> "" then (
-     let oc = open_out !out in
-     List.iter
-       (fun r ->
-         output_string oc (Serve.result_to_line r);
-         output_char oc '\n')
-       results;
-     close_out oc));
+  if out <> "" then write_lines out (List.map Serve.result_to_line results);
   (* per-tool rollup *)
   let by_tool =
     List.map
@@ -140,7 +62,7 @@ let () =
   let n_ok = List.length (List.filter Serve.ok results) in
   let n_cached = List.length (List.filter Serve.cached results) in
   let n_err = n_total - n_ok in
-  let rate = if dt > 0.0 then float_of_int n_total /. dt else 0.0 in
+  let rate = Cli.Service.rate ~elapsed:dt n_total in
   Printf.printf "--------  ----  ----  ------  ------  ------\n";
   Printf.printf "total     %4d  %4d  %6d\n" n_total n_ok n_cached;
   Printf.eprintf "eel_batch: %d job(s), %d ok (%d cached), %d failed in %.2fs (%.1f jobs/s)\n%!"
@@ -157,20 +79,9 @@ let () =
     in
     Printf.sprintf
       {|{"count": %d, "seed": %d, "ok": %d, "cached": %d, "errors": %d, "elapsed_s": %.3f, "jobs_per_s": %.2f, "by_tool": {%s}}|}
-      !count !seed n_ok n_cached n_err dt rate tool_json
+      count seed n_ok n_cached n_err dt rate tool_json
   in
-  (if !report <> "" then (
-     let oc = open_out !report in
-     output_string oc report_json;
-     output_char oc '\n';
-     close_out oc));
-  (if !stats <> "" then (
-     let oc = open_out !stats in
-     Printf.fprintf oc
-       {|{"jobs": %d, "ok": %d, "cached": %d, "errors": %d, "elapsed_s": %.3f, "jobs_per_s": %.2f, "cache": %s}|}
-       n_total n_ok n_cached n_err dt rate (Cache.stats_json cache);
-     output_char oc '\n';
-     close_out oc));
+  if report <> "" then write_lines report [ report_json ];
   List.iter
     (fun r ->
       match r.Serve.sr_outcome with
@@ -179,8 +90,32 @@ let () =
           Printf.eprintf "  %s (%s/%s): verdict %s\n" r.Serve.sr_id r.Serve.sr_tool r.Serve.sr_prog o.Serve.o_verdict
       | Ok _ -> ())
     results;
-  if !expect_cached && n_ok - n_cached > 0 then (
-    Printf.eprintf "eel_batch: --expect-cached: %d job(s) missed the result cache\n%!"
-      (n_ok - n_cached);
-    exit 1);
-  if n_err > 0 then exit 1
+  Cli.Service.finish "eel_batch" service cache ~elapsed:dt ~total:n_total
+    ~ok:n_ok ~cached:n_cached ~errors:n_err
+
+let () =
+  let count = ref 100 in
+  let seed = ref 42 in
+  let emit = ref "" in
+  let out = ref "" in
+  let report = ref "" in
+  let service = Cli.Service.create () in
+  Cli.main "eel_batch"
+    ~usage:"eel_batch [options]  -- run a deterministic mixed job corpus through the service"
+    ([
+       ("--gen", Arg.Set_int count, "N number of jobs in the corpus (default 100)");
+       ("--seed", Arg.Set_int seed, "S corpus mix seed (default 42)");
+       ( "--emit",
+         Arg.Set_string emit,
+         "FILE write the job corpus as JSONL (for eel_serve) and exit" );
+       ("--out", Arg.Set_string out, "FILE write per-job response JSONL");
+       ("--report", Arg.Set_string report, "FILE write the summary report JSON");
+     ]
+    @ Cli.Service.flags service)
+  @@ fun _ ->
+  let batch = Serve.mixed_jobs ~count:!count ~seed:!seed in
+  if !emit <> "" then (
+    write_lines !emit (List.map Proto.job_to_line batch);
+    Printf.eprintf "eel_batch: wrote %d job(s) to %s\n%!" !count !emit;
+    0)
+  else run service ~count:!count ~seed:!seed ~out:!out ~report:!report batch

@@ -31,8 +31,7 @@ module Diag = Eel_robust.Diag
 module Diffexec = Eel_diffexec.Diffexec
 module Corpus = Eel_diffexec.Corpus
 module Toolbox = Eel_tools.Toolbox
-module Trace = Eel_obs.Trace
-module Metrics = Eel_obs.Metrics
+module Json = Eel_obs.Json
 
 type outcome =
   | O_report of Diffexec.report * int  (** report, masked-event count *)
@@ -53,65 +52,21 @@ let run_tool ~fuel ~tool ~prog exe =
          ms.Toolbox.ms_report.Diffexec.er_masked)
   | Error e -> O_error e
 
-let json_escape = Trace.json_escape
-
-let () =
-  Printexc.record_backtrace true;
-  let fuel = ref Diffexec.default_fuel in
-  let verbose = ref false and show_metrics = ref false and json = ref false in
-  let trace_file = ref "" and tool = ref "" in
-  let reproduce = ref "" in
-  let files = ref [] in
-  Arg.parse
-    [
-      ( "--fuel",
-        Arg.Set_int fuel,
-        Printf.sprintf "FUEL shared per-side instruction budget (default %d)"
-          Diffexec.default_fuel );
-      ( "--tool",
-        Arg.Set_string tool,
-        Printf.sprintf
-          "NAME verify a real instrumented edit under its contract (%s)"
-          (String.concat "|" Toolbox.names) );
-      ("--json", Arg.Set json, "emit machine-readable JSON verdicts on stdout");
-      ("--verbose", Arg.Set verbose, "print event/instruction counts per program");
-      ( "--metrics",
-        Arg.Set show_metrics,
-        "dump the eel.diff.* / eel.equiv.* / eel.ledger.* / emu.tier2.* \
-         metrics at the end" );
-      ("--trace", Arg.Set_string trace_file, "FILE to write a Chrome trace timeline to");
-      ( "--reproduce",
-        Arg.Set_string reproduce,
-        "FILE replay a minimized fault-injection reproducer (JSON artifact \
-         written by eel_fuzz --inject); exit 0 iff the fault is still \
-         flagged" );
-    ]
-    (fun f -> files := f :: !files)
-    "eel_diff [--tool NAME] [FILE.sef ...]: differential oracle (default: \
-     built-in corpus)";
-  let tracer = if !trace_file <> "" then Some (Trace.create ()) else None in
-  Trace.set_current tracer;
-  (if !tool <> "" && not (List.mem !tool Toolbox.names) then (
-     Printf.eprintf "eel_diff: unknown tool %s (expected one of: %s)\n" !tool
-       (String.concat ", " Toolbox.names);
-     exit 2));
-  if !reproduce <> "" then (
-    (* replay a reproducer artifact: rebuild the exact (tool, program,
-       fault class, sites) trial deterministically and demand the oracle
-       still flag it. Reproducers are untrusted input like everything else
-       the front end reads, so every failure — unreadable file, malformed
-       or truncated JSON, a spec the campaign cannot rebuild — funnels into
-       one structured Diag error and exit 2; nothing escapes as an uncaught
-       exception. *)
-    let module Fault = Eel_mutate.Fault in
-    let module Json = Eel_obs.Json in
-    let loc = Diag.in_file !reproduce in
-    let outcome =
-      Diag.guard (fun () ->
-          try
+(* Replay a reproducer artifact: rebuild the exact (tool, program, fault
+   class, sites) trial deterministically and demand the oracle still flag
+   it. Reproducers are untrusted input like everything else the front end
+   reads, so every failure — unreadable file, malformed or truncated JSON,
+   a spec the campaign cannot rebuild — funnels into one structured Diag
+   error and exit 2; nothing escapes as an uncaught exception. *)
+let reproduce ~fuel path =
+  let module Fault = Eel_mutate.Fault in
+  let loc = Diag.in_file path in
+  let outcome =
+    Diag.guard (fun () ->
+        try
           let text =
             try
-              let ic = open_in_bin !reproduce in
+              let ic = open_in_bin path in
               let n = in_channel_length ic in
               let s = really_input_string ic n in
               close_in ic;
@@ -126,58 +81,49 @@ let () =
             match Result.bind (Json.parse text) Fault.spec_of_json with
             | Ok spec -> spec
             | Error m ->
-                Diag.fail
-                  (Diag.Sef_error { what = "bad reproducer: " ^ m; loc })
+                Diag.fail (Diag.Sef_error { what = "bad reproducer: " ^ m; loc })
           in
-          (match Fault.replay ~fuel:!fuel spec with
+          (match Fault.replay ~fuel spec with
           | Ok (at, desc) -> (spec, at, desc)
           | Error m -> Diag.fail (Diag.Exe_error { what = m }))
-          with
-          | (Diag.Error _ | Eel_util.Bytebuf.Truncated _) as e -> raise e
-          | exn ->
-              Diag.fail
-                (Diag.Exe_error
-                   { what = "replay raised " ^ Printexc.to_string exn }))
-    in
-    match outcome with
-    | Error e ->
-        Printf.eprintf "eel_diff --reproduce: %s\n" (Diag.error_message e);
-        exit 2
-    | Ok (spec, at, desc) ->
-        Printf.printf "%s %s on %s: %s\n  fault: %s\n  verdict: %s%s\n"
-          spec.Fault.sp_tool
-          (Fault.class_name spec.Fault.sp_class)
-          spec.Fault.sp_prog
-          (if at.Fault.at_flagged then "REPRODUCED" else "NOT REPRODUCED")
-          desc at.Fault.at_verdict
-          (if at.Fault.at_dclass = "" then ""
-           else
-             Printf.sprintf " (%s at 0x%x)" at.Fault.at_dclass at.Fault.at_anchor);
-        exit (if at.Fault.at_flagged then 0 else 1));
+        with
+        | (Diag.Error _ | Eel_util.Bytebuf.Truncated _) as e -> raise e
+        | exn ->
+            Diag.fail
+              (Diag.Exe_error { what = "replay raised " ^ Printexc.to_string exn }))
+  in
+  match outcome with
+  | Error e ->
+      Printf.eprintf "eel_diff --reproduce: %s\n" (Diag.error_message e);
+      2
+  | Ok (spec, at, desc) ->
+      Printf.printf "%s %s on %s: %s\n  fault: %s\n  verdict: %s%s\n"
+        spec.Fault.sp_tool
+        (Fault.class_name spec.Fault.sp_class)
+        spec.Fault.sp_prog
+        (if at.Fault.at_flagged then "REPRODUCED" else "NOT REPRODUCED")
+        desc at.Fault.at_verdict
+        (if at.Fault.at_dclass = "" then ""
+         else Printf.sprintf " (%s at 0x%x)" at.Fault.at_dclass at.Fault.at_anchor);
+      if at.Fault.at_flagged then 0 else 1
+
+(* The oracle sweep over [files] (default: the built-in corpus). *)
+let verify ~jobs ~fuel ~tool ~json ~verbose files =
   let programs =
-    match List.rev !files with
+    match files with
     | [] -> List.map (fun (n, e) -> (n, Ok e)) (Corpus.all ())
     | fs -> List.map (fun f -> (Filename.basename f, Sef.load_file f)) fs
   in
   let oracle name =
-    if !tool = "" then run_identity ~fuel:!fuel
-    else run_tool ~fuel:!fuel ~tool:!tool ~prog:name
+    if tool = "" then run_identity ~fuel
+    else run_tool ~fuel ~tool ~prog:name
   in
   (* fan the per-program verifications across domains; results come back in
      program order, and all counting/printing happens serially after the
      join, so the output is byte-identical whatever EEL_JOBS says. Metrics
      and ledger entries live in Domain.DLS and merge deterministically at
      the join, so --metrics works at any domain count; only --trace (span
-     hierarchies) forces a serial run, because worker domains have no
-     ambient tracer and their spans would be lost. *)
-  let jobs =
-    if tracer = None then None
-    else (
-      Printf.eprintf
-        "eel_diff: --trace forces EEL_JOBS=1 (span hierarchies don't cross \
-         domains)\n";
-      Some 1)
-  in
+     hierarchies) forces a serial run. *)
   let results =
     Eel_util.Pool.map_list ?jobs
       (fun (name, img) ->
@@ -204,7 +150,7 @@ let () =
           | Diffexec.Both_fault | Diffexec.Diverged _ -> incr diverged))
     results;
   let json_rows = Buffer.create 1024 in
-  if !json then (
+  if json then (
     List.iter
       (fun (name, outcome) ->
         if Buffer.length json_rows > 0 then Buffer.add_string json_rows ",";
@@ -212,18 +158,18 @@ let () =
         | O_error e ->
             Buffer.add_string json_rows
               (Printf.sprintf {|{"program":"%s","error":"%s"}|}
-                 (json_escape name)
-                 (json_escape (Diag.error_message e)))
+                 (Json.escape name)
+                 (Json.escape (Diag.error_message e)))
         | O_report (rp, masked) ->
             Buffer.add_string json_rows
               (Printf.sprintf {|{"program":"%s","report":%s}|}
-                 (json_escape name)
+                 (Json.escape name)
                  (Diffexec.report_to_json ~masked rp)))
       results;
     Printf.printf
       {|{"oracle":"%s","fuel":%d,"programs":[%s],"summary":{"total":%d,"equivalent":%d,"fuel_truncated":%d,"diverged":%d,"contract_violations":%d,"errors":%d}}|}
-      (if !tool = "" then "identity" else !tool)
-      !fuel (Buffer.contents json_rows) (List.length results) !equivalent
+      (if tool = "" then "identity" else tool)
+      fuel (Buffer.contents json_rows) (List.length results) !equivalent
       !truncated !diverged !violations !errors;
     print_newline ())
   else (
@@ -233,7 +179,7 @@ let () =
         | O_error e ->
             Printf.printf "%-14s ERROR  %s\n" name (Diag.error_message e)
         | O_report (rp, masked) ->
-            if !verbose || Diffexec.is_divergence rp.Diffexec.rp_verdict then
+            if verbose || Diffexec.is_divergence rp.Diffexec.rp_verdict then
               Format.printf "%-14s %a%s@." name Diffexec.pp_report rp
                 (if masked > 0 then
                    Printf.sprintf " [%d events masked]" masked
@@ -248,26 +194,42 @@ let () =
     Printf.printf
       "eel_diff%s: %d programs: %d equivalent, %d fuel-truncated, %d \
        diverged, %d contract violations, %d errors\n"
-      (if !tool = "" then "" else " --tool " ^ !tool)
+      (if tool = "" then "" else " --tool " ^ tool)
       (List.length results) !equivalent !truncated !diverged !violations
       !errors);
-  if !show_metrics then
-    List.iter
-      (fun (name, v) ->
-        let has_prefix p =
-          String.length name >= String.length p
-          && String.sub name 0 (String.length p) = p
-        in
-        if
-          has_prefix "eel.diff" || has_prefix "eel.equiv"
-          || has_prefix "eel.ledger" || has_prefix "emu.tier2"
-        then
-          match v with
-          | Metrics.Int n -> Printf.printf "  %-32s %d\n" name n
-          | Metrics.Float f -> Printf.printf "  %-32s %g\n" name f
-          | Metrics.Hist _ -> ())
-      (Metrics.snapshot ());
-  (match tracer with
-  | Some tr -> Trace.write_chrome_json tr !trace_file
-  | None -> ());
-  if !diverged > 0 || !violations > 0 || !errors > 0 then exit 1
+  if !diverged > 0 || !violations > 0 || !errors > 0 then 1 else 0
+
+let () =
+  let fuel = ref Diffexec.default_fuel in
+  let verbose = ref false and json = ref false in
+  let tool = ref "" and reproduce_file = ref "" in
+  let files = ref [] in
+  Cli.main "eel_diff"
+    ~usage:
+      "eel_diff [--tool NAME] [FILE.sef ...]: differential oracle (default: \
+       built-in corpus)"
+    ~anon:(fun f -> files := f :: !files)
+    ~trace:true
+    ~metrics:(Cli.Stdout [ "eel.diff"; "eel.equiv"; "eel.ledger"; "emu.tier2" ])
+    ~pool:true
+    [
+      ( "--fuel",
+        Arg.Set_int fuel,
+        Printf.sprintf "FUEL shared per-side instruction budget (default %d)"
+          Diffexec.default_fuel );
+      ( "--tool",
+        Arg.Symbol (Toolbox.names, ( := ) tool),
+        " verify a real instrumented edit under its contract" );
+      ("--json", Arg.Set json, " emit machine-readable JSON verdicts on stdout");
+      ("--verbose", Arg.Set verbose, " print event/instruction counts per program");
+      ( "--reproduce",
+        Arg.Set_string reproduce_file,
+        "FILE replay a minimized fault-injection reproducer (JSON artifact \
+         written by eel_fuzz --inject); exit 0 iff the fault is still \
+         flagged" );
+    ]
+  @@ fun ctx ->
+  if !reproduce_file <> "" then reproduce ~fuel:!fuel !reproduce_file
+  else
+    verify ~jobs:ctx.Cli.jobs ~fuel:!fuel ~tool:!tool ~json:!json
+      ~verbose:!verbose (List.rev !files)

@@ -27,6 +27,7 @@ module Toolbox = Eel_tools.Toolbox
 module E = Eel.Executable
 module Trace = Eel_obs.Trace
 module Metrics = Eel_obs.Metrics
+module Fault = Eel_mutate.Fault
 
 type outcome =
   | Ok_load of int  (** diagnostics count *)
@@ -66,6 +67,12 @@ let outcome_slots = [ "survived"; "degraded"; "rejected" ]
 
 let class_counter kind slot =
   Metrics.counter (Printf.sprintf "fuzz.%s.%s" kind slot)
+
+(* one cell of the per-class outcome table, read back from the registry *)
+let read_slot kind slot =
+  match Metrics.find (Printf.sprintf "fuzz.%s.%s" kind slot) with
+  | Some (Metrics.Int n) -> n
+  | _ -> 0
 
 (* ---- differential mode (--diff) ----------------------------------
 
@@ -146,264 +153,157 @@ let diff_slots_of signature =
   in
   front @ verdict
 
-let () =
-  Printexc.record_backtrace true;
-  let count = ref 200 and seed = ref 42 and routines = ref 12 in
-  let verbose = ref false in
-  let trace_file = ref "" in
-  let diff = ref false and fuel = ref 300_000 in
-  let tool = ref "" in
-  let inject = ref false and out_dir = ref "_build/inject" in
-  let budget = ref 48 in
-  let show_metrics = ref false in
-  Arg.parse
-    [
-      ("--count", Arg.Set_int count, "NUMBER of mutants (default 200)");
-      ("--seed", Arg.Set_int seed, "SEED for mutation and the base workload (default 42)");
-      ("--routines", Arg.Set_int routines, "ROUTINES in the base workload (default 12)");
-      ("--verbose", Arg.Set verbose, "print one line per mutant");
-      ("--trace", Arg.Set_string trace_file, "FILE to write a Chrome trace timeline to");
-      ( "--diff",
-        Arg.Set diff,
-        "run the differential oracle per mutant; compare blind vs coverage-guided scheduling" );
-      ( "--fuel",
-        Arg.Set_int fuel,
-        "FUEL per-side instruction budget in --diff mode (default 300000)" );
-      ( "--tool",
-        Arg.Set_string tool,
-        Printf.sprintf
-          "NAME in --diff mode, verify a real instrumented edit of each \
-           mutant under the tool's contract (%s)"
-          (String.concat "|" Toolbox.names) );
-      ( "--inject",
-        Arg.Set inject,
-        "run the adversarial fault-injection campaign (tool x fault-class \
-         detection matrix, guided hunt, clean and environment sweeps)" );
-      ( "--out",
-        Arg.Set_string out_dir,
-        "DIR for minimized violation reproducers in --inject mode (default \
-         _build/inject)" );
-      ( "--budget",
-        Arg.Set_int budget,
-        "ATTEMPTS for the guided hunt in --inject mode (default 48)" );
-      ( "--metrics",
-        Arg.Set show_metrics,
-        "dump the fuzz.* / eel.* / emu.tier2.* metrics registry at the end \
-         (merges across domains; works at any EEL_JOBS)" );
-    ]
-    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "eel_fuzz: assert the front end never crashes on mutated executables";
-  let tracer = if !trace_file <> "" then Some (Trace.create ()) else None in
-  Trace.set_current tracer;
-  (* mirror the EEL_JOBS notice: poke plans need per-instruction
-     interpretation, which silently drops the affected runs to tier-1 *)
-  (if !inject then
-     Printf.eprintf
-       "eel_fuzz: --inject arms poke plans (tier-2 block engine off for \
-        those trials)\n");
-  (* metrics (and ledger/hotspot data) live in Domain.DLS and merge
-     deterministically at pool joins, so --metrics is jobs-agnostic; only
-     --trace pins the run to one domain (worker domains have no ambient
-     tracer, their span hierarchies would be lost) *)
-  let dump_metrics () =
-    if !show_metrics then
-      List.iter
-        (fun (name, v) ->
-          let has_prefix p =
-            String.length name >= String.length p
-            && String.sub name 0 (String.length p) = p
-          in
-          if has_prefix "fuzz." || has_prefix "eel." || has_prefix "emu.tier2."
-          then
-            match v with
-            | Metrics.Int n -> Printf.printf "  %-32s %d\n" name n
-            | Metrics.Float f -> Printf.printf "  %-32s %g\n" name f
-            | Metrics.Hist _ -> ())
-        (Metrics.snapshot ())
+(* ---- adversarial campaign (--inject) ------------------------------
+   Seeded faults on all three attack surfaces; the acceptance bar is 100%
+   detection, zero crashes and a clean corpus sweep. Minimized reproducers
+   land in [out_dir] as JSON artifacts (CI uploads them). *)
+let inject ~seed ~fuel ~budget ~out_dir ~verbose =
+  let o = Fault.campaign ~seed ~fuel ~budget () in
+  let rec mkdirs d =
+    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then (
+      mkdirs (Filename.dirname d);
+      try Sys.mkdir d 0o755 with Sys_error _ -> ())
   in
-  let base =
-    Eel_workload.Gen.assemble_program
-      { Eel_workload.Gen.default with seed = !seed; routines = !routines }
-  in
-  if !tool <> "" && not (List.mem !tool Toolbox.names) then (
-    Printf.eprintf "eel_fuzz: unknown tool %s (expected one of: %s)\n" !tool
-      (String.concat ", " Toolbox.names);
-    exit 2);
-  if !inject then (
-    (* ---- adversarial campaign (--inject) --------------------------
-       Seeded faults on all three attack surfaces; the acceptance bar is
-       100% detection, zero crashes and a clean corpus sweep. Minimized
-       reproducers land in --out as JSON artifacts (CI uploads them). *)
-    let module Fault = Eel_mutate.Fault in
-    let o = Fault.campaign ~seed:!seed ~fuel:!fuel ~budget:!budget () in
-    let rec mkdirs d =
-      if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then (
-        mkdirs (Filename.dirname d);
-        try Sys.mkdir d 0o755 with Sys_error _ -> ())
-    in
-    mkdirs !out_dir;
-    List.iteri
-      (fun i (r : Fault.repro) ->
-        let path =
-          Filename.concat !out_dir
-            (Printf.sprintf "repro-%02d-%s-%s.json" i r.Fault.rx_tool
-               (Fault.class_name r.Fault.rx_class))
-        in
-        let oc = open_out path in
-        output_string oc (Fault.repro_to_json r);
-        output_char oc '\n';
-        close_out oc)
+  mkdirs out_dir;
+  List.iteri
+    (fun i (r : Fault.repro) ->
+      let path =
+        Filename.concat out_dir
+          (Printf.sprintf "repro-%02d-%s-%s.json" i r.Fault.rx_tool
+             (Fault.class_name r.Fault.rx_class))
+      in
+      let oc = open_out path in
+      output_string oc (Fault.repro_to_json r);
+      output_char oc '\n';
+      close_out oc)
+    o.Fault.o_repros;
+  Printf.printf "eel_fuzz --inject: seed %d, fuel %d, hunt budget %d\n\n" seed
+    fuel budget;
+  Printf.printf "%-8s %-14s %-9s %6s %8s  %s\n" "tool" "fault class" "surface"
+    "sites" "caught" "verdict";
+  List.iter
+    (fun (c : Fault.cell) ->
+      Printf.printf "%-8s %-14s %-9s %6d %8s  %s\n" c.Fault.cl_tool
+        (Fault.class_name c.Fault.cl_class)
+        (Fault.surface c.Fault.cl_class)
+        c.Fault.cl_sites
+        (if c.Fault.cl_flagged then "yes" else "MISSED")
+        c.Fault.cl_verdict)
+    o.Fault.o_cells;
+  Printf.printf "\ndetection: %d/%d cells flagged; %d minimized reproducers in %s\n"
+    o.Fault.o_caught o.Fault.o_injected
+    (List.length o.Fault.o_repros)
+    out_dir;
+  Printf.printf "guided hunt: %d distinct violation signatures in %d attempts\n"
+    o.Fault.o_hunt_distinct o.Fault.o_hunt_attempts;
+  Printf.printf "clean sweep: %d trials, %d false violations\n"
+    o.Fault.o_clean_total o.Fault.o_clean_bad;
+  Printf.printf "environment sweep: %d trials\n" o.Fault.o_env_trials;
+  Printf.printf "crashes anywhere: %d\n" o.Fault.o_crashes;
+  if verbose then
+    List.iter
+      (fun (r : Fault.repro) ->
+        Printf.printf "  repro %s/%s sites=[%s] %s (%s @0x%x): %s\n"
+          r.Fault.rx_tool
+          (Fault.class_name r.Fault.rx_class)
+          (String.concat "," (List.map string_of_int r.Fault.rx_sites))
+          r.Fault.rx_verdict r.Fault.rx_dclass r.Fault.rx_anchor r.Fault.rx_desc)
       o.Fault.o_repros;
-    Printf.printf
-      "eel_fuzz --inject: seed %d, fuel %d, hunt budget %d\n\n" !seed !fuel
-      !budget;
-    Printf.printf "%-8s %-14s %-9s %6s %8s  %s\n" "tool" "fault class"
-      "surface" "sites" "caught" "verdict";
-    List.iter
-      (fun (c : Fault.cell) ->
-        Printf.printf "%-8s %-14s %-9s %6d %8s  %s\n" c.Fault.cl_tool
-          (Fault.class_name c.Fault.cl_class)
-          (Fault.surface c.Fault.cl_class)
-          c.Fault.cl_sites
-          (if c.Fault.cl_flagged then "yes" else "MISSED")
-          c.Fault.cl_verdict)
-      o.Fault.o_cells;
-    Printf.printf
-      "\ndetection: %d/%d cells flagged; %d minimized reproducers in %s\n"
-      o.Fault.o_caught o.Fault.o_injected
-      (List.length o.Fault.o_repros)
-      !out_dir;
-    Printf.printf
-      "guided hunt: %d distinct violation signatures in %d attempts\n"
-      o.Fault.o_hunt_distinct o.Fault.o_hunt_attempts;
-    Printf.printf "clean sweep: %d trials, %d false violations\n"
-      o.Fault.o_clean_total o.Fault.o_clean_bad;
-    Printf.printf "environment sweep: %d trials\n" o.Fault.o_env_trials;
-    Printf.printf "crashes anywhere: %d\n" o.Fault.o_crashes;
-    if !verbose then
-      List.iter
-        (fun (r : Fault.repro) ->
-          Printf.printf "  repro %s/%s sites=[%s] %s (%s @0x%x): %s\n"
-            r.Fault.rx_tool
-            (Fault.class_name r.Fault.rx_class)
-            (String.concat ","
-               (List.map string_of_int r.Fault.rx_sites))
-            r.Fault.rx_verdict r.Fault.rx_dclass r.Fault.rx_anchor
-            r.Fault.rx_desc)
-        o.Fault.o_repros;
-    dump_metrics ();
-    (match tracer with
-    | Some tr -> Trace.write_chrome_json tr !trace_file
-    | None -> ());
-    if Fault.passed o then (
-      print_string "PASS: every seeded fault detected, no crashes\n";
-      exit 0)
-    else (
-      print_string "FAIL: missed faults, crashes or false violations\n";
-      exit 1));
-  let jobs =
-    if tracer = None then None
-    else (
-      Printf.eprintf
-        "eel_fuzz: --trace forces EEL_JOBS=1 (span hierarchies don't cross \
-         domains)\n";
-      Some 1)
+  if Fault.passed o then (
+    print_string "PASS: every seeded fault detected, no crashes\n";
+    0)
+  else (
+    print_string "FAIL: missed faults, crashes or false violations\n";
+    1)
+
+(* ---- differential mode (--diff): blind vs coverage-guided ---------- *)
+let diff_run ~jobs ~seed ~count ~fuel ~tool ~verbose base =
+  let crashed = ref 0 in
+  (* strict gate: a mutant whose instrumented edit violates its tool's
+     contract is a finding, not a statistic — the run must fail *)
+  let violations = ref 0 in
+  let count_violation s =
+    if List.mem "contract" (diff_slots_of s) then incr violations
   in
-  if !diff then (
-    let crashed = ref 0 in
-    (* strict gate: a mutant whose instrumented edit violates its tool's
-       contract is a finding, not a statistic — the run must fail *)
-    let violations = ref 0 in
-    let count_violation s =
-      if List.mem "contract" (diff_slots_of s) then incr violations
-    in
-    (* run the oracle, returning any crash as data: the blind pass runs in
-       pool workers, which must not mutate shared counters or print *)
-    let signature i kind bytes =
-      try (diff_signature ~fuel:!fuel ~tool:!tool bytes, None) with
-      | Stack_overflow -> ("crash", Some "")
-      | exn ->
-          ( "crash",
-            Some
-              (Printf.sprintf "%4d %-22s CRASH: %s\n%s\n" i (Mutate.name kind)
-                 (Printexc.to_string exn)
-                 (Printexc.get_backtrace ())) )
-    in
-    let absorb_crash = function
-      | None -> ()
-      | Some msg ->
-          incr crashed;
-          if msg <> "" then print_string msg
-    in
-    (* pass 1: the blind schedule — Mutate.corpus's class cycle, signatures
-       collected but no scheduling feedback. Mutants are independent and the
-       signature {e set} is order-blind, so this pass fans out across
-       domains; crash accounting happens serially after the join. *)
-    let blind_sigs = Hashtbl.create 64 in
+  (* run the oracle, returning any crash as data: the blind pass runs in
+     pool workers, which must not mutate shared counters or print *)
+  let signature i kind bytes =
+    try (diff_signature ~fuel ~tool bytes, None) with
+    | Stack_overflow -> ("crash", Some "")
+    | exn ->
+        ( "crash",
+          Some
+            (Printf.sprintf "%4d %-22s CRASH: %s\n%s\n" i (Mutate.name kind)
+               (Printexc.to_string exn)
+               (Printexc.get_backtrace ())) )
+  in
+  let absorb_crash = function
+    | None -> ()
+    | Some msg ->
+        incr crashed;
+        if msg <> "" then print_string msg
+  in
+  (* pass 1: the blind schedule — Mutate.corpus's class cycle, signatures
+     collected but no scheduling feedback. Mutants are independent and the
+     signature {e set} is order-blind, so this pass fans out across
+     domains; crash accounting happens serially after the join. *)
+  let blind_sigs = Hashtbl.create 64 in
+  List.iter
+    (fun (s, crash) ->
+      absorb_crash crash;
+      count_violation s;
+      Hashtbl.replace blind_sigs s ())
+    (Eel_util.Pool.map_list ?jobs
+       (fun (i, kind, bytes) -> signature i kind bytes)
+       (Mutate.corpus ~seed ~count base));
+  (* pass 2: coverage-guided — same seed, same budget, class picked per
+     round by discovery rate. Inherently serial: each round's class choice
+     depends on every earlier round's discoveries. *)
+  let sched = Sched.create () in
+  ignore
+    (Sched.guided sched ~seed ~count base ~run:(fun i kind bytes ->
+         let s, crash = signature i kind bytes in
+         absorb_crash crash;
+         count_violation s;
+         let kname = Mutate.name kind in
+         List.iter
+           (fun slot -> Metrics.incr (class_counter kname slot))
+           (diff_slots_of s);
+         if verbose then Printf.printf "%4d %-22s %s\n" i kname s;
+         s));
+  let nb = Hashtbl.length blind_sigs and ng = Sched.distinct sched in
+  Metrics.set (Metrics.gauge "eel.diff.cover.blind") (float_of_int nb);
+  Metrics.set (Metrics.gauge "eel.diff.cover.guided") (float_of_int ng);
+  Printf.printf "eel_fuzz --diff%s: %d mutants (seed %d), per-side fuel %d\n"
+    (if tool = "" then "" else " --tool " ^ tool)
+    count seed fuel;
+  Printf.printf "%-22s %9s %9s %9s %10s %9s %9s %10s %9s %9s\n"
+    "mutation class" "survived" "degraded" "rejected" "equivalent" "fuel-eq"
+    "diverged" "both-fault" "contract" "attempts";
+  List.iter
+    (fun kind ->
+      let kname = Mutate.name kind in
+      match List.map (read_slot kname) diff_slots with
+      | [ s; d; r; eq; fe; dv; bf; cv ] ->
+          Printf.printf "%-22s %9d %9d %9d %10d %9d %9d %10d %9d %9d\n" kname s
+            d r eq fe dv bf cv
+            (Sched.attempts_of sched kind)
+      | _ -> assert false)
+    Mutate.all;
+  Printf.printf "coverage (distinct signatures): blind %d, guided %d%s\n" nb ng
+    (if ng > nb then " — guided found more" else "");
+  if verbose then
     List.iter
-      (fun (s, crash) ->
-        absorb_crash crash;
-        count_violation s;
-        Hashtbl.replace blind_sigs s ())
-      (Eel_util.Pool.map_list ?jobs
-         (fun (i, kind, bytes) -> signature i kind bytes)
-         (Mutate.corpus ~seed:!seed ~count:!count base));
-    (* pass 2: coverage-guided — same seed, same budget, class picked per
-       round by discovery rate. Inherently serial: each round's class choice
-       depends on every earlier round's discoveries. *)
-    let sched = Sched.create () in
-    ignore
-      (Sched.guided sched ~seed:!seed ~count:!count base
-         ~run:(fun i kind bytes ->
-           let s, crash = signature i kind bytes in
-           absorb_crash crash;
-           count_violation s;
-           let kname = Mutate.name kind in
-           List.iter
-             (fun slot -> Metrics.incr (class_counter kname slot))
-             (diff_slots_of s);
-           if !verbose then Printf.printf "%4d %-22s %s\n" i kname s;
-           s));
-    let nb = Hashtbl.length blind_sigs and ng = Sched.distinct sched in
-    Metrics.set (Metrics.gauge "eel.diff.cover.blind") (float_of_int nb);
-    Metrics.set (Metrics.gauge "eel.diff.cover.guided") (float_of_int ng);
-    Printf.printf
-      "eel_fuzz --diff%s: %d mutants (seed %d), per-side fuel %d\n"
-      (if !tool = "" then "" else " --tool " ^ !tool)
-      !count !seed !fuel;
-    Printf.printf "%-22s %9s %9s %9s %10s %9s %9s %10s %9s %9s\n"
-      "mutation class" "survived" "degraded" "rejected" "equivalent" "fuel-eq"
-      "diverged" "both-fault" "contract" "attempts";
-    List.iter
-      (fun kind ->
-        let kname = Mutate.name kind in
-        let read slot =
-          match Metrics.find (Printf.sprintf "fuzz.%s.%s" kname slot) with
-          | Some (Metrics.Int n) -> n
-          | _ -> 0
-        in
-        match List.map read diff_slots with
-        | [ s; d; r; eq; fe; dv; bf; cv ] ->
-            Printf.printf "%-22s %9d %9d %9d %10d %9d %9d %10d %9d %9d\n"
-              kname s d r eq fe dv bf cv
-              (Sched.attempts_of sched kind)
-        | _ -> assert false)
-      Mutate.all;
-    Printf.printf
-      "coverage (distinct signatures): blind %d, guided %d%s\n" nb ng
-      (if ng > nb then " — guided found more" else "");
-    if !verbose then
-      List.iter (fun s -> Printf.printf "  guided signature: %s\n" s)
-        (Sched.signatures sched);
-    if !violations > 0 then
-      Printf.printf "contract violations found: %d (failing the run)\n"
-        !violations;
-    dump_metrics ();
-    (match tracer with
-    | Some tr -> Trace.write_chrome_json tr !trace_file
-    | None -> ());
-    exit (if !crashed > 0 || !violations > 0 then 1 else 0));
-  let corpus = Mutate.corpus ~seed:!seed ~count:!count base in
+      (fun s -> Printf.printf "  guided signature: %s\n" s)
+      (Sched.signatures sched);
+  if !violations > 0 then
+    Printf.printf "contract violations found: %d (failing the run)\n"
+      !violations;
+  if !crashed > 0 || !violations > 0 then 1 else 0
+
+(* ---- the never-crash corpus (default mode) ------------------------- *)
+let fuzz ~jobs ~seed ~count ~verbose base =
+  let corpus = Mutate.corpus ~seed ~count base in
   (* mutants are independent: the pipeline runs fan out across domains and
      return outcomes in corpus order; counting, the per-class table and all
      printing happen serially after the join, so output and metrics are
@@ -428,12 +328,12 @@ let () =
           incr ok;
           Metrics.incr
             (class_counter kname (if ndiag = 0 then "survived" else "degraded"));
-          if !verbose then
+          if verbose then
             Printf.printf "%4d %-22s ok (%d diagnostics)\n" i kname ndiag
       | Rejected e ->
           incr rejected;
           Metrics.incr (class_counter kname "rejected");
-          if !verbose then
+          if verbose then
             Printf.printf "%4d %-22s rejected: %s\n" i kname
               (Diag.error_message e)
       | Crashed msg ->
@@ -441,7 +341,7 @@ let () =
           Printf.printf "%4d %-22s CRASH: %s\n" i kname msg)
     outcomes;
   Printf.printf "eel_fuzz: %d mutants (seed %d): %d ok, %d rejected, %d crashed\n"
-    (List.length corpus) !seed !ok !rejected !crashed;
+    (List.length corpus) seed !ok !rejected !crashed;
   (* per-class outcome table, read back from the metrics registry *)
   let classes =
     List.sort_uniq compare (List.map (fun (_, k, _) -> Mutate.name k) corpus)
@@ -450,17 +350,67 @@ let () =
     "rejected";
   List.iter
     (fun kname ->
-      let read slot =
-        match Metrics.find (Printf.sprintf "fuzz.%s.%s" kname slot) with
-        | Some (Metrics.Int n) -> n
-        | _ -> 0
-      in
-      match List.map read outcome_slots with
+      match List.map (read_slot kname) outcome_slots with
       | [ s; d; r ] -> Printf.printf "%-22s %9d %9d %9d\n" kname s d r
       | _ -> assert false)
     classes;
-  dump_metrics ();
-  (match tracer with
-  | Some tr -> Trace.write_chrome_json tr !trace_file
-  | None -> ());
-  if !crashed > 0 then exit 1
+  if !crashed > 0 then 1 else 0
+
+let () =
+  let count = ref 200 and seed = ref 42 and routines = ref 12 in
+  let verbose = ref false in
+  let diff = ref false and fuel = ref 300_000 in
+  let tool = ref "" in
+  let inject_mode = ref false and out_dir = ref "_build/inject" in
+  let budget = ref 48 in
+  Cli.main "eel_fuzz"
+    ~usage:"eel_fuzz: assert the front end never crashes on mutated executables"
+    ~trace:true
+    ~metrics:(Cli.Stdout [ "fuzz."; "eel."; "emu.tier2." ])
+    ~pool:true
+    [
+      ("--count", Arg.Set_int count, "NUMBER of mutants (default 200)");
+      ("--seed", Arg.Set_int seed, "SEED for mutation and the base workload (default 42)");
+      ("--routines", Arg.Set_int routines, "ROUTINES in the base workload (default 12)");
+      ("--verbose", Arg.Set verbose, " print one line per mutant");
+      ( "--diff",
+        Arg.Set diff,
+        " run the differential oracle per mutant; compare blind vs \
+         coverage-guided scheduling" );
+      ( "--fuel",
+        Arg.Set_int fuel,
+        "FUEL per-side instruction budget in --diff mode (default 300000)" );
+      ( "--tool",
+        Arg.Symbol (Toolbox.names, ( := ) tool),
+        " in --diff mode, verify a real instrumented edit of each mutant \
+         under the tool's contract" );
+      ( "--inject",
+        Arg.Set inject_mode,
+        " run the adversarial fault-injection campaign (tool x fault-class \
+         detection matrix, guided hunt, clean and environment sweeps)" );
+      ( "--out",
+        Arg.Set_string out_dir,
+        "DIR for minimized violation reproducers in --inject mode (default \
+         _build/inject)" );
+      ( "--budget",
+        Arg.Set_int budget,
+        "ATTEMPTS for the guided hunt in --inject mode (default 48)" );
+    ]
+  @@ fun ctx ->
+  if !inject_mode then (
+    (* mirror the EEL_JOBS notice: poke plans need per-instruction
+       interpretation, which silently drops the affected runs to tier-1 *)
+    Printf.eprintf
+      "eel_fuzz: --inject arms poke plans (tier-2 block engine off for those \
+       trials)\n";
+    inject ~seed:!seed ~fuel:!fuel ~budget:!budget ~out_dir:!out_dir
+      ~verbose:!verbose)
+  else
+    let base =
+      Eel_workload.Gen.assemble_program
+        { Eel_workload.Gen.default with seed = !seed; routines = !routines }
+    in
+    if !diff then
+      diff_run ~jobs:ctx.Cli.jobs ~seed:!seed ~count:!count ~fuel:!fuel
+        ~tool:!tool ~verbose:!verbose base
+    else fuzz ~jobs:ctx.Cli.jobs ~seed:!seed ~count:!count ~verbose:!verbose base

@@ -4,12 +4,10 @@
    §3.1 symbol-table analysis: hidden routines, data tables, multiple entry
    points), per-routine disassembly, and CFG statistics. *)
 
-open Cmdliner
 module Sef = Eel_sef.Sef
 module E = Eel.Executable
 module C = Eel.Cfg
 module Trace = Eel_obs.Trace
-module Metrics = Eel_obs.Metrics
 
 let mach = Eel_sparc.Mach.mach
 
@@ -31,11 +29,17 @@ let disas_line a word =
     (mach.Eel_arch.Machine.disas ~pc:a word)
     (syscall_note word)
 
-let dump path disas cfg trace_file metrics =
-  let tracer =
-    if trace_file <> None || metrics then Some (Trace.create ()) else None
-  in
-  Trace.set_current tracer;
+let () =
+  let path = ref None and disas = ref false and cfg = ref false in
+  Cli.main "eel_objdump" ~usage:"eel_objdump [options] FILE  -- inspect a SEF executable"
+    ~anon:(Cli.one_arg path) ~trace:true ~metrics:Cli.Stderr
+    [
+      ("-d", Arg.Set disas, " disassemble every reachable block");
+      ("--disassemble", Arg.Set disas, " same as -d");
+      ("--cfg", Arg.Set cfg, " dump CFG edges");
+    ]
+  @@ fun _ ->
+  let path = Cli.the_arg "FILE" path in
   let exe = Trace.with_span "load" (fun () -> Sef.read_file path) in
   Format.printf "%a" Sef.pp exe;
   let t = Trace.with_span "analyze" (fun () -> E.read_contents mach exe) in
@@ -56,7 +60,7 @@ let dump path disas cfg trace_file metrics =
          else "")
         s.C.s_blocks s.C.s_delay s.C.s_edges
         (if E.is_data_table t r then " [data table]" else "");
-      if disas then
+      if !disas then
         List.iter
           (fun (b : C.block) ->
             if b.C.kind = C.Normal && b.C.reachable then (
@@ -68,7 +72,7 @@ let dump path disas cfg trace_file metrics =
               | Some (a, i) -> disas_line a i.Eel_arch.Instr.word
               | None -> ()))
           (C.blocks g);
-      if cfg then
+      if !cfg then
         List.iter
           (fun (b : C.block) ->
             Format.printf "      %a ->" C.pp_block b;
@@ -76,34 +80,4 @@ let dump path disas cfg trace_file metrics =
             Format.printf "\n")
           (C.blocks g))
     (E.routines t);
-  (match (trace_file, tracer) with
-  | Some f, Some tr -> Trace.write_chrome_json tr f
-  | _ -> ());
-  if metrics then Format.eprintf "%a%!" Metrics.pp ()
-
-(* malformed inputs produce typed errors; report them as such, not as an
-   "internal error" backtrace *)
-let dump path disas cfg trace_file metrics =
-  try dump path disas cfg trace_file metrics
-  with Eel_robust.Diag.Error e ->
-    Printf.eprintf "eel_objdump: %s\n" (Eel_robust.Diag.error_message e);
-    exit 1
-
-let cmd =
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let disas = Arg.(value & flag & info [ "d"; "disassemble" ]) in
-  let cfg = Arg.(value & flag & info [ "cfg" ] ~doc:"dump CFG edges") in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"write a Chrome trace_event JSON timeline")
-  in
-  let metrics =
-    Arg.(value & flag & info [ "metrics" ] ~doc:"print the metrics registry to stderr")
-  in
-  Cmd.v
-    (Cmd.info "eel_objdump" ~doc:"inspect a SEF executable")
-    Term.(const dump $ path $ disas $ cfg $ trace_file $ metrics)
-
-let () = exit (Cmd.eval cmd)
+  0

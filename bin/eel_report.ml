@@ -31,7 +31,7 @@ module Toolbox = Eel_tools.Toolbox
 module Emu = Eel_emu.Emu
 module Hotspot = Eel_obs.Hotspot
 module Ledger = Eel_obs.Ledger
-module Trace = Eel_obs.Trace
+module Json = Eel_obs.Json
 
 type source = Src of string | File of string
 
@@ -67,15 +67,18 @@ let namer (exe : Sef.t) =
     | None -> Printf.sprintf "0x%x" pc
 
 let () =
-  Printexc.record_backtrace true;
   let fuel = ref Diffexec.default_fuel in
   let top = ref 10 in
   let tools = ref [] in
   let flame = ref "" and speedscope = ref "" and json_out = ref "" in
-  let trace_file = ref "" in
   let corpus_sel = ref "all" in
   let files = ref [] in
-  Arg.parse
+  Cli.main "eel_report"
+    ~usage:
+      "eel_report [--tool NAME] [FILE.sef ...]: hot-path attribution + \
+       instrumentation-overhead report (default: built-in corpus)"
+    ~anon:(fun f -> files := f :: !files)
+    ~trace:true ~pool:true
     [
       ( "--fuel",
         Arg.Set_int fuel,
@@ -83,11 +86,8 @@ let () =
           Diffexec.default_fuel );
       ("--top", Arg.Set_int top, "N hot routines to list (default 10)");
       ( "--tool",
-        Arg.String (fun t -> tools := t :: !tools),
-        Printf.sprintf
-          "NAME restrict the overhead ledger to this tool (repeatable; \
-           default: all of %s)"
-          (String.concat ", " Toolbox.names) );
+        Arg.Symbol ("all" :: Toolbox.names, fun t -> tools := t :: !tools),
+        " restrict the overhead ledger to this tool (repeatable; default: all)" );
       ("--flame", Arg.Set_string flame, "FILE write a collapsed-stack flamegraph");
       ( "--speedscope",
         Arg.Set_string speedscope,
@@ -96,31 +96,18 @@ let () =
         Arg.Set_string json_out,
         "FILE write the full report (hotspot + ledger) as JSON ('-' = stdout)"
       );
-      ( "--trace",
-        Arg.Set_string trace_file,
-        "FILE write both report phases as a Chrome trace timeline (forces \
-         EEL_JOBS=1)" );
       ( "--corpus",
-        Arg.Set_string corpus_sel,
-        "SET built-in corpus subset: all (default), cpu, or os (the \
-         OS-mode programs; make os-smoke gates this slice)" );
+        Arg.Symbol ([ "all"; "cpu"; "os" ], ( := ) corpus_sel),
+        " built-in corpus subset: all (default), cpu, or os (the OS-mode \
+         programs; make os-smoke gates this slice)" );
     ]
-    (fun f -> files := f :: !files)
-    "eel_report [--tool NAME] [FILE.sef ...]: hot-path attribution + \
-     instrumentation-overhead report (default: built-in corpus)";
+  @@ fun ctx ->
   let tools =
     match List.rev !tools with
     | [] | [ "all" ] -> Toolbox.names
-    | ts ->
-        List.iter
-          (fun t ->
-            if not (List.mem t Toolbox.names) then (
-              Printf.eprintf "eel_report: unknown tool %s (expected one of: %s)\n"
-                t
-                (String.concat ", " Toolbox.names);
-              exit 2))
-          ts;
-        ts
+    | ts when List.mem "all" ts ->
+        raise (Arg.Bad "--tool all cannot be combined with other tools")
+    | ts -> ts
   in
   let programs =
     (* default corpus = CPU-bound programs + the OS-mode corpus (each OS
@@ -133,29 +120,12 @@ let () =
             (fun (n, (src, spec)) -> (n, Src src, Some spec))
             Corpus.os_sources
         in
-        match !corpus_sel with
-        | "all" -> cpu @ os
-        | "cpu" -> cpu
-        | "os" -> os
-        | s ->
-            Printf.eprintf
-              "eel_report: unknown --corpus %s (expected all, cpu or os)\n" s;
-            exit 2)
+        match !corpus_sel with "cpu" -> cpu | "os" -> os | _ -> cpu @ os)
     | fs -> List.map (fun f -> (Filename.basename f, File f, None)) fs
   in
-  let tracer = if !trace_file <> "" then Some (Trace.create ()) else None in
-  Trace.set_current tracer;
   (* both sweeps are jobs-agnostic (DLS metrics/ledger merge at the join),
-     but span hierarchies don't cross domains, so --trace pins them — and
-     says so, since it silently overrides EEL_JOBS *)
-  let jobs =
-    if tracer = None then None
-    else (
-      Printf.eprintf
-        "eel_report: --trace forces EEL_JOBS=1 (span hierarchies don't cross \
-         domains)\n";
-      Some 1)
-  in
+     but --trace pins them to one domain *)
+  let jobs = ctx.Cli.jobs in
   (* ---- phase 1: hot-path attribution (one profiled run per program) ---- *)
   let hot_rows =
     Eel_util.Pool.map_list ?jobs
@@ -297,7 +267,6 @@ let () =
   if !speedscope <> "" then
     write_file !speedscope (Hotspot.speedscope_json ~name:"eel corpus" hot);
   if !json_out <> "" then begin
-    let esc = Hotspot.json_escape in
     let buf = Buffer.create 4096 in
     Buffer.add_string buf "{\"hotspot\": {";
     Buffer.add_string buf (Printf.sprintf "\"total\": %d, \"routines\": [" grand_total);
@@ -306,7 +275,7 @@ let () =
         if i > 0 then Buffer.add_string buf ", ";
         Buffer.add_string buf
           (Printf.sprintf "{\"name\": \"%s\", \"self\": %d, \"total\": %d}"
-             (esc r.Hotspot.rs_name) r.Hotspot.rs_self r.Hotspot.rs_total))
+             (Json.escape r.Hotspot.rs_name) r.Hotspot.rs_self r.Hotspot.rs_total))
       rstats;
     Buffer.add_string buf "]},\n \"ledger\": ";
     Buffer.add_string buf (Ledger.to_json entries);
@@ -320,7 +289,4 @@ let () =
     if !json_out = "-" then print_string (Buffer.contents buf)
     else write_file !json_out (Buffer.contents buf)
   end;
-  (match tracer with
-  | Some tr -> Trace.write_chrome_json tr !trace_file
-  | None -> ());
-  if bad_entries <> [] || errors <> [] || unexplained <> 0 then exit 1
+  if bad_entries <> [] || errors <> [] || unexplained <> 0 then 1 else 0

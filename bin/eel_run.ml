@@ -23,25 +23,15 @@
    — onto the process exit code, so shell scripts can branch on the
    guest's result. *)
 
-open Cmdliner
 module Trace = Eel_obs.Trace
-module Metrics = Eel_obs.Metrics
 module Emu = Eel_emu.Emu
 module Tier2 = Eel_emu.Tier2
 
-let parse_os_file spec =
-  match String.index_opt spec '=' with
-  | None ->
-      Printf.eprintf "eel_run: --os-file expects NAME=PATH, got %S\n" spec;
-      exit 2
-  | Some i ->
-      let name = String.sub spec 0 i in
-      let path = String.sub spec (i + 1) (String.length spec - i - 1) in
-      let ic = open_in_bin path in
-      let n = in_channel_length ic in
-      let data = really_input_string ic n in
-      close_in ic;
-      (name, data)
+let read_os_file (name, path) =
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (name, data)
 
 (* Resolve the execution tier. An explicit [--tier] combined with a flag
    that forces per-instruction interpretation is a contradiction and is
@@ -77,18 +67,60 @@ let resolve_tier ~tier ~rtl ~itrace ~no_predecode =
       Tier2.Predecode
   | None, None -> Tier2.Block
 
-let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
-    os_files exit_status tier =
-  if rtl && os then begin
-    Printf.eprintf "eel_run: --os is not supported under --rtl\n";
-    exit 2
-  end;
-  let tier = resolve_tier ~tier ~rtl ~itrace ~no_predecode in
-  let observing = trace_file <> None || metrics in
-  let tracer = if observing then Some (Trace.create ()) else None in
-  Trace.set_current tracer;
+let () =
+  let path = ref None in
+  let rtl = ref false and itrace = ref false and no_predecode = ref false in
+  let fuel = ref 200_000_000 in
+  let os = ref false and os_stdin = ref "" and os_files = ref [] in
+  let exit_status = ref false in
+  let tier = ref None in
+  let os_file spec =
+    match String.index_opt spec '=' with
+    | None -> raise (Arg.Bad (Printf.sprintf "--os-file expects NAME=PATH, got %S" spec))
+    | Some i ->
+        os_files :=
+          (String.sub spec 0 i, String.sub spec (i + 1) (String.length spec - i - 1))
+          :: !os_files
+  in
+  Cli.main "eel_run" ~usage:"eel_run [options] FILE  -- run a SEF executable"
+    ~anon:(Cli.one_arg path) ~trace:true ~metrics:Cli.Stderr
+    [
+      ("--rtl", Arg.Set rtl, " use the spawn RTL interpreter");
+      ("--itrace", Arg.Set itrace, " print each executed instruction");
+      ("--fuel", Arg.Set_int fuel, "N instruction budget (default 200000000)");
+      ( "--no-predecode",
+        Arg.Set no_predecode,
+        " decode every dynamic instruction instead of predecoding the text \
+         segment at load" );
+      ("--os", Arg.Set os, " install the OS syscall layer (in-memory FS, fd table)");
+      ("--os-stdin", Arg.Set_string os_stdin, "STRING guest stdin contents (OS mode)");
+      ( "--os-file",
+        Arg.String os_file,
+        "NAME=PATH preload host file PATH as NAME in the in-memory FS \
+         (repeatable)" );
+      ( "--exit-status",
+        Arg.Set exit_status,
+        " exit with the guest program's exit code instead of 0" );
+      ( "--tier",
+        Arg.Symbol
+          ( List.map Tier2.tier_name Tier2.all_tiers,
+            fun name ->
+              tier :=
+                List.find_opt (fun tr -> Tier2.tier_name tr = name) Tier2.all_tiers
+          ),
+        " execution tier: interp decodes every instruction, predecode \
+         dispatches the predecoded text one instruction at a time, block \
+         (the default) compiles hot basic blocks. Rejected when combined \
+         with a flag that forces per-instruction interpretation." );
+    ]
+  @@ fun ctx ->
+  let path = Cli.the_arg "FILE" path and rtl = !rtl and fuel = !fuel in
+  if rtl && !os then raise (Arg.Bad "--os is not supported under --rtl");
+  let tier =
+    resolve_tier ~tier:!tier ~rtl ~itrace:!itrace ~no_predecode:!no_predecode
+  in
   let exe = Trace.with_span "load" (fun () -> Eel_sef.Sef.read_file path) in
-  if observing then
+  if ctx.Cli.tracing || ctx.Cli.metrics then
     Trace.with_span "analyze" (fun () ->
         (* advisory: a program can be run even when analysis degrades *)
         match Eel.Executable.open_exe Eel_sparc.Mach.mach exe with
@@ -96,7 +128,9 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
         | Error e ->
             Trace.mark "analyze-failed"
               ~args:[ ("error", Eel_robust.Diag.error_message e) ]);
-  let profile = if metrics && not rtl then Some (Emu.create_profile ()) else None in
+  let profile =
+    if ctx.Cli.metrics && not rtl then Some (Emu.create_profile ()) else None
+  in
   let os_state = ref None in
   let engine = ref None in
   let result =
@@ -107,7 +141,7 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
       r)
     else
       let hook =
-        if itrace then
+        if !itrace then
           Some
             (function
             | Emu.Ev_exec { pc; word } ->
@@ -123,11 +157,11 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
       if tier = Tier2.Block then engine := Tier2.attach t;
       t.Emu.hook <- hook;
       t.Emu.profile <- profile;
-      if os then begin
+      if !os then begin
         let spec =
           Eel_os.Spec.make
-            ~files:(List.map parse_os_file os_files)
-            ~stdin:os_stdin ()
+            ~files:(List.map read_os_file (List.rev !os_files))
+            ~stdin:!os_stdin ()
         in
         os_state := Some (Eel_os.Os.install t spec)
       end;
@@ -145,97 +179,4 @@ let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
         (Eel_os.Os.denied_count st)
   | None -> ());
   Option.iter Emu.publish_profile profile;
-  (match (trace_file, tracer) with
-  | Some f, Some tr -> Trace.write_chrome_json tr f
-  | _ -> ());
-  if metrics then Format.eprintf "%a%!" Metrics.pp ();
-  exit (if exit_status then result.Emu.exit_code else 0)
-
-let run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
-    os_files exit_status tier =
-  try
-    run path rtl itrace trace_file metrics fuel no_predecode os os_stdin
-      os_files exit_status tier
-  with
-  | Eel_robust.Diag.Error e ->
-      Printf.eprintf "eel_run: %s\n" (Eel_robust.Diag.error_message e);
-      exit 1
-  | Emu.Fault m ->
-      Printf.eprintf "eel_run: fault: %s\n" m;
-      exit 1
-  | Sys_error m ->
-      Printf.eprintf "eel_run: %s\n" m;
-      exit 1
-
-let cmd =
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let rtl =
-    Arg.(value & flag & info [ "rtl" ] ~doc:"use the spawn RTL interpreter")
-  in
-  let itrace =
-    Arg.(value & flag & info [ "itrace" ] ~doc:"print each executed instruction")
-  in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"write a Chrome trace_event JSON timeline")
-  in
-  let metrics =
-    Arg.(value & flag & info [ "metrics" ] ~doc:"profile execution and print the metrics registry")
-  in
-  let fuel =
-    Arg.(value & opt int 200_000_000 & info [ "fuel" ] ~doc:"instruction budget")
-  in
-  let no_predecode =
-    Arg.(
-      value & flag
-      & info [ "no-predecode" ]
-          ~doc:"decode every dynamic instruction instead of predecoding the text segment at load")
-  in
-  let os =
-    Arg.(
-      value & flag
-      & info [ "os" ]
-          ~doc:"install the OS syscall layer (in-memory FS, fd table)")
-  in
-  let os_stdin =
-    Arg.(
-      value & opt string ""
-      & info [ "os-stdin" ] ~docv:"STRING"
-          ~doc:"guest stdin contents (OS mode)")
-  in
-  let os_files =
-    Arg.(
-      value & opt_all string []
-      & info [ "os-file" ] ~docv:"NAME=PATH"
-          ~doc:"preload host file PATH as NAME in the in-memory FS (repeatable)")
-  in
-  let want_exit_status =
-    Arg.(
-      value & flag
-      & info [ "exit-status" ]
-          ~doc:"exit with the guest program's exit code instead of 0")
-  in
-  let tier =
-    let tiers =
-      List.map (fun tr -> (Tier2.tier_name tr, tr)) Tier2.all_tiers
-    in
-    Arg.(
-      value
-      & opt (some (enum tiers)) None
-      & info [ "tier" ] ~docv:"TIER"
-          ~doc:
-            "execution tier: $(b,interp) decodes every instruction, \
-             $(b,predecode) dispatches the predecoded text one instruction \
-             at a time, $(b,block) (the default) compiles hot basic blocks. \
-             Rejected when combined with a flag that forces \
-             per-instruction interpretation.")
-  in
-  Cmd.v
-    (Cmd.info "eel_run" ~doc:"run a SEF executable")
-    Term.(
-      const run $ path $ rtl $ itrace $ trace_file $ metrics $ fuel
-      $ no_predecode $ os $ os_stdin $ os_files $ want_exit_status $ tier)
-
-let () = exit (Cmd.eval cmd)
+  if !exit_status then result.Emu.exit_code else 0

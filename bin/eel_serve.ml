@@ -16,73 +16,24 @@
 
 module Serve = Eel_service.Serve
 module Proto = Eel_service.Proto
-module Cache = Eel_service.Cache
-module Diffexec = Eel_diffexec.Diffexec
 
 let () =
-  Printexc.record_backtrace true;
-  let cache_dir = ref "" in
-  let cache_mb = ref 0 in
-  let jobs = ref 0 in
   let batch = ref 64 in
-  let fuel = ref Diffexec.default_fuel in
   let out = ref "" in
-  let stats = ref "" in
-  let no_result = ref false in
-  let no_analysis = ref false in
-  let expect_cached = ref false in
   let files = ref [] in
-  Arg.parse
-    [
-      ( "--cache-dir",
-        Arg.Set_string cache_dir,
-        "DIR durable cache directory (default $EEL_CACHE_DIR; unset: memory-only)"
-      );
-      ( "--cache-mb",
-        Arg.Set_int cache_mb,
-        "MB disk cache budget (default $EEL_CACHE_MB, else 256)" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N worker domains per batch (default $EEL_JOBS, else cores)" );
-      ( "--batch",
-        Arg.Set_int batch,
-        "N jobs buffered per pool dispatch (default 64)" );
-      ( "--fuel",
-        Arg.Set_int fuel,
-        Printf.sprintf "FUEL default per-job instruction budget (default %d)"
-          Diffexec.default_fuel );
-      ("--out", Arg.Set_string out, "FILE write responses here instead of stdout");
-      ( "--stats",
-        Arg.Set_string stats,
-        "FILE write cache + throughput stats JSON on exit" );
-      ( "--no-result-cache",
-        Arg.Set no_result,
-        " disable the whole-job result cache (analysis cache stays on)" );
-      ( "--no-analysis-cache",
-        Arg.Set no_analysis,
-        " disable the per-routine analysis cache" );
-      ( "--expect-cached",
-        Arg.Set expect_cached,
-        " fail if any successful job was not served from the result cache" );
-    ]
-    (fun f -> files := f :: !files)
-    "eel_serve [options] [JOBS.jsonl ...]  (no files: read jobs from stdin)";
-  let cache =
-    Cache.create
-      ?dir:(if !cache_dir = "" then None else Some !cache_dir)
-      ?disk_budget_bytes:
-        (if !cache_mb > 0 then Some (!cache_mb * 1024 * 1024) else None)
-      ()
-  in
-  let cfg =
-    {
-      (Serve.default_config cache) with
-      Serve.c_use_result = not !no_result;
-      c_use_analysis = not !no_analysis;
-      c_fuel = !fuel;
-    }
-  in
-  let jobs = if !jobs > 0 then Some !jobs else None in
+  let service = Cli.Service.create () in
+  Cli.main "eel_serve"
+    ~usage:"eel_serve [options] [JOBS.jsonl ...]  (no files: read jobs from stdin)"
+    ~anon:(fun f -> files := f :: !files)
+    ([
+       ( "--batch",
+         Arg.Set_int batch,
+         "N jobs buffered per pool dispatch (default 64)" );
+       ("--out", Arg.Set_string out, "FILE write responses here instead of stdout");
+     ]
+    @ Cli.Service.flags service)
+  @@ fun _ ->
+  let cache, cfg, jobs = Cli.Service.setup service in
   let out_chan = if !out = "" then stdout else open_out !out in
   let t0 = Unix.gettimeofday () in
   let seq = ref 0 in
@@ -144,19 +95,10 @@ let () =
   flush_batch !pending;
   if !out <> "" then close_out out_chan;
   let dt = Unix.gettimeofday () -. t0 in
-  let rate = if dt > 0.0 then float_of_int !n_total /. dt else 0.0 in
+  let rate = Cli.Service.rate ~elapsed:dt !n_total in
   let uncached = !n_ok - !n_cached in
   Printf.eprintf
     "eel_serve: %d job(s), %d ok (%d cached, %d computed), %d error(s) in %.2fs (%.1f jobs/s)\n%!"
     !n_total !n_ok !n_cached uncached !n_err dt rate;
-  if !stats <> "" then (
-    let oc = open_out !stats in
-    Printf.fprintf oc
-      {|{"jobs": %d, "ok": %d, "cached": %d, "errors": %d, "elapsed_s": %.3f, "jobs_per_s": %.2f, "cache": %s}|}
-      !n_total !n_ok !n_cached !n_err dt rate (Cache.stats_json cache);
-    output_char oc '\n';
-    close_out oc);
-  if !expect_cached && uncached > 0 then (
-    Printf.eprintf "eel_serve: --expect-cached: %d job(s) missed the result cache\n%!" uncached;
-    exit 1);
-  if !n_err > 0 then exit 1
+  Cli.Service.finish "eel_serve" service cache ~elapsed:dt ~total:!n_total
+    ~ok:!n_ok ~cached:!n_cached ~errors:!n_err

@@ -5,22 +5,26 @@
    edge profile. --trace/--metrics expose the instrumentation pipeline's
    phase timeline and the metrics registry (ISSUE 2). *)
 
-open Cmdliner
 module Emu = Eel_emu.Emu
 module Qpt2 = Eel_tools.Qpt2
 module Trace = Eel_obs.Trace
 module Metrics = Eel_obs.Metrics
 
-let main path run_it no_fold trace_file metrics =
-  let tracer =
-    if trace_file <> None || metrics then Some (Trace.create ()) else None
-  in
-  Trace.set_current tracer;
+let () =
+  let path = ref None and run_it = ref false and no_fold = ref false in
+  Cli.main "qpt2" ~usage:"qpt2 [options] FILE  -- EEL-based edge profiler"
+    ~anon:(Cli.one_arg path) ~trace:true ~metrics:Cli.Stderr
+    [
+      ("--run", Arg.Set run_it, " run and print profile");
+      ("--no-fold", Arg.Set no_fold, " disable delay-slot refolding");
+    ]
+  @@ fun ctx ->
+  let path = Cli.the_arg "FILE" path in
   let exe = Trace.with_span "load" (fun () -> Eel_sef.Sef.read_file path) in
   let t0 = Unix.gettimeofday () in
   let prof =
     Trace.with_span "instrument" (fun () ->
-        Qpt2.instrument ~fold_delay:(not no_fold) Eel_sparc.Mach.mach exe)
+        Qpt2.instrument ~fold_delay:(not !no_fold) Eel_sparc.Mach.mach exe)
   in
   let dt = Unix.gettimeofday () -. t0 in
   let out = path ^ ".count" in
@@ -32,8 +36,8 @@ let main path run_it no_fold trace_file metrics =
     path out
     (List.length prof.Qpt2.counters)
     prof.Qpt2.skipped_uneditable dt;
-  if run_it then (
-    let profile = if metrics then Some (Emu.create_profile ()) else None in
+  if !run_it then (
+    let profile = if ctx.Cli.metrics then Some (Emu.create_profile ()) else None in
     let res, st =
       Trace.with_span "emulate" (fun () -> Emu.run_exe ?profile prof.Qpt2.edited)
     in
@@ -46,37 +50,4 @@ let main path run_it no_fold trace_file metrics =
           Printf.printf "%-20s block %-4d edge %-4d : %d\n" c.Qpt2.c_routine
             c.Qpt2.c_block c.Qpt2.c_edge n)
       (Qpt2.counts prof st.Emu.mem));
-  (match (trace_file, tracer) with
-  | Some f, Some tr -> Trace.write_chrome_json tr f
-  | _ -> ());
-  if metrics then Format.eprintf "%a%!" Metrics.pp ()
-
-let main path run_it no_fold trace_file metrics =
-  try main path run_it no_fold trace_file metrics with
-  | Eel_robust.Diag.Error e ->
-      Printf.eprintf "qpt2: %s\n" (Eel_robust.Diag.error_message e);
-      exit 1
-  | Emu.Fault m ->
-      Printf.eprintf "qpt2: fault: %s\n" m;
-      exit 1
-
-let cmd =
-  let path = Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE") in
-  let run_it = Arg.(value & flag & info [ "run" ] ~doc:"run and print profile") in
-  let no_fold =
-    Arg.(value & flag & info [ "no-fold" ] ~doc:"disable delay-slot refolding")
-  in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE" ~doc:"write a Chrome trace_event JSON timeline")
-  in
-  let metrics =
-    Arg.(value & flag & info [ "metrics" ] ~doc:"print the metrics registry to stderr")
-  in
-  Cmd.v
-    (Cmd.info "qpt2" ~doc:"EEL-based edge profiler")
-    Term.(const main $ path $ run_it $ no_fold $ trace_file $ metrics)
-
-let () = exit (Cmd.eval cmd)
+  0

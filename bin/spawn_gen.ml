@@ -4,8 +4,6 @@
    Prints the conciseness comparison the paper reports: description lines
    vs generated lines vs the handwritten equivalent. *)
 
-open Cmdliner
-
 let count_file_loc path =
   let ic = open_in path in
   let n = in_channel_length ic in
@@ -20,10 +18,19 @@ let count_file_loc path =
            && not (String.length l >= 2 && String.sub l 0 2 = "(*"))
          (String.split_on_char '\n' s)) )
 
-let main desc out =
+let () =
+  let desc = ref None and out = ref None in
+  Cli.main "spawn_gen"
+    ~usage:
+      "spawn_gen [-o FILE] [DESCRIPTION]  -- generate machine-specific code \
+       from a description (default descriptions/sparc.spawn)"
+    ~anon:(Cli.one_arg desc)
+    [ ("-o", Arg.String (fun f -> out := Some f), "FILE write generated code") ]
+  @@ fun _ ->
+  let desc = Option.value !desc ~default:"descriptions/sparc.spawn" in
   let el = Eel_spawn.Smach.load_description desc in
   let code = Eel_spawn.Codegen.generate el in
-  (match out with
+  (match !out with
   | Some path ->
       let oc = open_out path in
       output_string oc code;
@@ -34,20 +41,5 @@ let main desc out =
   let gen_loc = Eel_spawn.Codegen.loc_of_string code in
   Printf.printf "description:    %4d non-comment lines (%s)\n" desc_loc desc;
   Printf.printf "generated code: %4d non-comment lines\n" gen_loc;
-  Printf.printf "instructions described: %d\n" (List.length el.Eel_spawn.Elab.pats)
-
-let cmd =
-  let desc =
-    Arg.(
-      value
-      & pos 0 string "descriptions/sparc.spawn"
-      & info [] ~docv:"DESCRIPTION")
-  in
-  let out =
-    Arg.(value & opt (some string) None & info [ "o" ] ~doc:"write generated code")
-  in
-  Cmd.v
-    (Cmd.info "spawn_gen" ~doc:"generate machine-specific code from a description")
-    Term.(const main $ desc $ out)
-
-let () = exit (Cmd.eval cmd)
+  Printf.printf "instructions described: %d\n" (List.length el.Eel_spawn.Elab.pats);
+  0

@@ -175,29 +175,27 @@ let check_collapsed path src ~total =
 let () =
   let total = ref None in
   let paths = ref [] in
-  Arg.parse
+  Cli.main "trace_check"
+    ~usage:
+      "trace_check [--total N] FILE...: validate Chrome trace / speedscope / \
+       collapsed-stack exports"
+    ~anon:(fun p -> paths := p :: !paths)
     [
       ( "--total",
         Arg.Int (fun n -> total := Some n),
         "N require stack totals to equal N dynamic instructions \
          (speedscope/collapsed only)" );
     ]
-    (fun p -> paths := p :: !paths)
-    "trace_check [--total N] FILE...: validate Chrome trace / speedscope / \
-     collapsed-stack exports";
+  @@ fun _ ->
   let paths = List.rev !paths in
-  if paths = [] then (
-    prerr_endline "usage: trace_check [--total N] FILE...";
-    exit 2);
+  if paths = [] then raise (Arg.Bad "missing FILE");
   List.iter
     (fun path ->
       let src =
-        try
-          let ic = open_in_bin path in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        with Sys_error m -> fail "%s" m
+        let ic = open_in_bin path in
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
       in
       match Json.parse src with
       | Ok root -> (
@@ -214,4 +212,5 @@ let () =
               check_speedscope path root ~total:!total
           | _ -> fail "%s: JSON but neither Chrome trace nor speedscope" path)
       | Error _ -> check_collapsed path src ~total:!total)
-    paths
+    paths;
+  0

@@ -46,6 +46,7 @@ module E = Eel.Executable
 module Diag = Eel_robust.Diag
 module Trace = Eel_obs.Trace
 module Metrics = Eel_obs.Metrics
+module Json = Eel_obs.Json
 module Contract = Eel_equiv.Contract
 
 (** Default shared fuel budget for a differential run: small enough that a
@@ -777,22 +778,20 @@ let pp_report fmt rp =
 
 (* machine-readable verdicts (eel_diff --json) *)
 
-let esc s = Trace.json_escape s
-
 let stop_to_json = function
   | S_exit c -> Printf.sprintf {|{"kind":"exit","code":%d}|} c
-  | S_fault m -> Printf.sprintf {|{"kind":"fault","what":"%s"}|} (esc m)
+  | S_fault m -> Printf.sprintf {|{"kind":"fault","what":"%s"}|} (Json.escape m)
   | S_fuel -> {|{"kind":"fuel"}|}
 
 let divergence_to_json dv =
   let block =
     match dv.dv_block with
-    | Some (rname, bid) -> Printf.sprintf {|["%s",%d]|} (esc rname) bid
+    | Some (rname, bid) -> Printf.sprintf {|["%s",%d]|} (Json.escape rname) bid
     | None -> "null"
   in
   Printf.sprintf
     {|{"class":"%s","index":%d,"pc":%d,"block":%s,"what":"%s"}|}
-    (dclass_name dv.dv_class) dv.dv_index dv.dv_pc block (esc dv.dv_what)
+    (dclass_name dv.dv_class) dv.dv_index dv.dv_pc block (Json.escape dv.dv_what)
 
 (** [report_to_json ?masked rp] — one report as a JSON object (verdict,
     per-side event/instruction totals, stops, masked-event count, and the

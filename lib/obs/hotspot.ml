@@ -197,21 +197,6 @@ let collapsed t =
     (samples t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (** Speedscope file-format JSON (one "sampled" profile weighted in
     instructions, not time). Frames are deduplicated by name and sorted;
     samples follow {!collapsed} order. *)
@@ -235,11 +220,11 @@ let speedscope_json ?(name = "eel profile") t =
   List.iteri
     (fun i f ->
       if i > 0 then Buffer.add_string buf ", ";
-      Buffer.add_string buf (Printf.sprintf "{\"name\": \"%s\"}" (json_escape f)))
+      Buffer.add_string buf (Printf.sprintf "{\"name\": \"%s\"}" (Json.escape f)))
     frames;
   Buffer.add_string buf "]},\n \"profiles\": [{\"type\": \"sampled\", ";
   Buffer.add_string buf
-    (Printf.sprintf "\"name\": \"%s\", \"unit\": \"none\", " (json_escape name));
+    (Printf.sprintf "\"name\": \"%s\", \"unit\": \"none\", " (Json.escape name));
   Buffer.add_string buf
     (Printf.sprintf "\"startValue\": 0, \"endValue\": %d,\n  \"samples\": ["
        endv);
@@ -263,7 +248,7 @@ let speedscope_json ?(name = "eel profile") t =
   Buffer.add_string buf "]}],\n";
   Buffer.add_string buf
     (Printf.sprintf " \"name\": \"%s\", \"exporter\": \"eel\"}\n"
-       (json_escape name));
+       (Json.escape name));
   Buffer.contents buf
 
 (** {1 Per-domain ambient tree}

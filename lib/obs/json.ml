@@ -1,7 +1,8 @@
 (** A minimal JSON reader — just enough to validate what {!Trace} and
     {!Metrics} emit (the trace-smoke checker and test suite parse real
     output rather than pattern-matching on strings). Accepts standard JSON;
-    numbers come back as [float]; no streaming, no extensions. *)
+    numbers come back as [float]; no streaming, no extensions. The writers
+    build their JSON by hand and share {!escape}. *)
 
 type t =
   | Null
@@ -170,3 +171,21 @@ let parse (s : string) : (t, string) result =
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs
   | _ -> None
+
+(** [escape s] is [s] as the body of a JSON string literal (the caller adds
+    the quotes). *)
+let escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf

@@ -234,7 +234,7 @@ let to_json () =
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%s" (Trace.json_escape name) (value_to_json v)))
+        (Printf.sprintf "\"%s\":%s" (Json.escape name) (value_to_json v)))
     (snapshot ());
   Buffer.add_char buf '}';
   Buffer.contents buf
@@ -251,7 +251,15 @@ let pp_value fmt = function
           else Format.fprintf fmt " inf=%d" c)
         counts
 
-let pp fmt () =
+(** One line per metric; with [only], just the names under those prefixes. *)
+let pp ?only fmt () =
+  let shown name =
+    match only with
+    | None -> true
+    | Some prefixes ->
+        List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+  in
   List.iter
-    (fun (name, v) -> Format.fprintf fmt "%-36s %a@\n" name pp_value v)
+    (fun (name, v) ->
+      if shown name then Format.fprintf fmt "%-36s %a@\n" name pp_value v)
     (snapshot ())

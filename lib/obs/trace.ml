@@ -198,29 +198,13 @@ let totals t =
   Hashtbl.fold (fun name (d, n) acc -> (name, !d, !n) :: acc) tbl []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf "{";
   List.iteri
     (fun k (key, v) ->
       if k > 0 then Buffer.add_string buf ",";
       Buffer.add_string buf
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape key) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Json.escape key) (Json.escape v)))
     args;
   Buffer.add_string buf "}"
 
@@ -241,7 +225,7 @@ let to_chrome_json t =
         Buffer.add_string buf
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"eel\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":"
-             (json_escape i.i_name) i.i_ts);
+             (Json.escape i.i_name) i.i_ts);
         add_args buf i.i_args;
         Buffer.add_string buf "}"
     | N_span sp ->
@@ -249,7 +233,7 @@ let to_chrome_json t =
         Buffer.add_string buf
           (Printf.sprintf
              "{\"name\":\"%s\",\"cat\":\"eel\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1,\"args\":"
-             (json_escape sp.sp_name) sp.sp_start (max 0. sp.sp_dur));
+             (Json.escape sp.sp_name) sp.sp_start (max 0. sp.sp_dur));
         add_args buf
           (sp.sp_args
           @ [ ("alloc_words", Printf.sprintf "%.0f" sp.sp_alloc) ]);

@@ -554,7 +554,7 @@ let repro_to_json r =
     {|{"tool":"%s","program":"%s","class":"%s","sites":[%s],"desc":"%s","verdict":"%s","dclass":"%s","anchor_pc":%d}|}
     r.rx_tool r.rx_prog (class_name r.rx_class)
     (String.concat "," (List.map string_of_int r.rx_sites))
-    (Eel_obs.Trace.json_escape r.rx_desc)
+    (Eel_obs.Json.escape r.rx_desc)
     r.rx_verdict r.rx_dclass r.rx_anchor
 
 (** What {!replay} needs back out of a reproducer artifact. *)

@@ -76,25 +76,9 @@ let hex_decode (s : string) : (string, string) result =
     in
     go 0
 
-(* ---- JSON emission (the Json module only parses) ---- *)
+(* ---- JSON emission ---- *)
 
-let json_str s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_str s = "\"" ^ Json.escape s ^ "\""
 
 (* ---- parsing ---- *)
 

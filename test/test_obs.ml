@@ -637,6 +637,113 @@ let test_run_metrics_block () =
   Sys.remove err
 
 (* ------------------------------------------------------------------ *)
+(* The binaries' shared harness: exit convention, --trace everywhere   *)
+(* ------------------------------------------------------------------ *)
+
+let all_binaries =
+  [
+    "eel_objdump"; "eel_run"; "qpt2"; "workload_gen"; "spawn_gen"; "eel_fuzz";
+    "eel_diff"; "trace_check"; "eel_report"; "eel_serve"; "eel_batch";
+  ]
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
+
+(* a scratch directory holding one small workload image *)
+let with_workload f =
+  let dir = Filename.temp_file "eel_cli" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let sef = Filename.concat dir "w.sef" in
+  Sef.write_file sef
+    (Eel_workload.Gen.assemble_program
+       { Eel_workload.Gen.default with seed = 5; routines = 4 });
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () -> f dir (Filename.quote sef))
+
+(* run [tool args] with stdin closed; the exit status and stderr *)
+let run_tool dir tool args =
+  let err = Filename.concat dir "stderr" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s %s < /dev/null > /dev/null 2> %s"
+         (Filename.quote (bin (tool ^ ".exe")))
+         args (Filename.quote err))
+  in
+  let ic = open_in_bin err in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (rc, text)
+
+let test_cli_exit_convention () =
+  with_workload @@ fun dir sef ->
+  let bad = Filename.quote (Filename.concat dir "missing/out") in
+  let spawn_desc =
+    Filename.quote
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "../descriptions/sparc.spawn")
+  in
+  (* an output path under a missing directory, or a run out of fuel: one
+     "<tool>: " line, exit 1 *)
+  List.iter
+    (fun (tool, args) ->
+      let rc, err = run_tool dir tool args in
+      Alcotest.(check int) (tool ^ " " ^ args ^ ": exits 1") 1 rc;
+      let last =
+        List.fold_left
+          (fun acc l -> if l = "" then acc else l)
+          "" (String.split_on_char '\n' err)
+      in
+      Alcotest.(check bool)
+        (tool ^ ": stderr ends in one tool line")
+        true
+        (String.starts_with ~prefix:(tool ^ ": ") last);
+      Alcotest.(check bool)
+        (tool ^ ": no crash banner")
+        false
+        (contains err "Fatal error" || contains err "internal error"))
+    [
+      ("eel_run", "--trace " ^ bad ^ " " ^ sef);
+      ("qpt2", "--trace " ^ bad ^ " " ^ sef);
+      ("eel_objdump", "--trace " ^ bad ^ " " ^ sef);
+      ("eel_diff", "--trace " ^ bad ^ " " ^ sef);
+      ("eel_fuzz", "--count 4 --trace " ^ bad);
+      ("eel_report", "--tool qpt2 --trace " ^ bad ^ " " ^ sef);
+      ("eel_batch", "--gen 2 --emit " ^ bad);
+      ("eel_serve", "--out " ^ bad);
+      ("workload_gen", "-o " ^ bad);
+      ("spawn_gen", "-o " ^ bad ^ " " ^ spawn_desc);
+      ("eel_run", "--fuel 10 " ^ sef);
+    ];
+  (* a bad flag is a usage error everywhere *)
+  List.iter
+    (fun tool ->
+      let rc, _ = run_tool dir tool "--no-such-flag" in
+      Alcotest.(check int) (tool ^ ": unknown flag exits 2") 2 rc)
+    all_binaries
+
+let test_cli_traces_validate () =
+  with_workload @@ fun dir sef ->
+  List.iter
+    (fun (tool, args) ->
+      let trace = Filename.quote (Filename.concat dir (tool ^ ".json")) in
+      let rc, _ = run_tool dir tool ("--trace " ^ trace ^ " " ^ args) in
+      Alcotest.(check int) (tool ^ " --trace: exit") 0 rc;
+      let rc, _ = run_tool dir "trace_check" trace in
+      Alcotest.(check int) (tool ^ " --trace: trace_check") 0 rc)
+    [
+      ("qpt2", sef);
+      ("eel_diff", sef);
+      ("eel_fuzz", "--count 4");
+      ("eel_report", "--tool qpt2 " ^ sef);
+    ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "obs"
@@ -688,5 +795,9 @@ let () =
           Alcotest.test_case "eel_objdump --trace" `Quick test_objdump_trace;
           Alcotest.test_case "eel_run --metrics on the block tier" `Quick
             test_run_metrics_block;
+          Alcotest.test_case "exit convention of every binary" `Quick
+            test_cli_exit_convention;
+          Alcotest.test_case "every --trace output validates" `Quick
+            test_cli_traces_validate;
         ] );
     ]
