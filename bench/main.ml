@@ -26,6 +26,7 @@ module Gen = Eel_workload.Gen
 module Qpt2 = Eel_tools.Qpt2
 module Oldqpt = Eel_tools.Oldqpt
 module Amemory = Eel_tools.Amemory
+module Metrics = Eel_obs.Metrics
 
 let mach = Eel_sparc.Mach.mach
 
@@ -41,6 +42,25 @@ let check_same_output exe edited =
   let b, _ = Emu.run_exe edited in
   if a.Emu.out <> b.Emu.out then failwith "bench: edited output diverged";
   (a, b)
+
+(* EEL's allocation statistics are the eel.stats.* Metrics counters:
+   [stats_delta f] runs [f] and returns how much it bumped each one *)
+let stats_delta f =
+  let before = Metrics.snapshot () in
+  ignore (f ());
+  let after = Metrics.snapshot () in
+  fun name ->
+    let read snap =
+      match List.assoc_opt ("eel.stats." ^ name) snap with
+      | Some (Metrics.Int n) -> n
+      | _ -> 0
+    in
+    read after - read before
+
+(* the paper's object census (§5): the four allocation counters; lifted
+   words and CFG builds count work, not objects *)
+let objects d =
+  d "instrs_alloc" + d "blocks_alloc" + d "edges_alloc" + d "snippets_alloc"
 
 (* ---------------------------------------------------------------- *)
 (* Bechamel glue: estimated ns/run for a thunk                       *)
@@ -94,12 +114,16 @@ let e1 () =
         ignore (Qpt2.instrument ~cache_instrs:true ~fold_delay:true mach exe))
   in
   (* allocation counts *)
-  Eel.Stats.reset ();
-  let _ = Qpt2.instrument ~cache_instrs:true ~fold_delay:true mach exe in
-  let objs_opt = Eel.Stats.total_objects () in
-  Eel.Stats.reset ();
-  let _ = Qpt2.instrument ~cache_instrs:false ~fold_delay:false mach exe in
-  let objs_base = Eel.Stats.total_objects () in
+  let objs_opt =
+    objects
+      (stats_delta (fun () ->
+           Qpt2.instrument ~cache_instrs:true ~fold_delay:true mach exe))
+  in
+  let objs_base =
+    objects
+      (stats_delta (fun () ->
+           Qpt2.instrument ~cache_instrs:false ~fold_delay:false mach exe))
+  in
   Printf.printf "%-14s %12s %9s %10s %12s\n" "tool version" "run time" "ratio"
     "objects" "output size";
   let row name t objs size =
@@ -200,11 +224,11 @@ let e5 () =
   print_endline "=== E5 (§3.4): instruction sharing ===";
   let exe = Lazy.force spim_like in
   let count cache_instrs =
-    Eel.Stats.reset ();
-    let t = E.read_contents ~cache_instrs mach exe in
-    ignore (E.jump_stats t);
-    let s = Eel.Stats.snapshot () in
-    (s.Eel.Stats.s_instrs_lifted, s.Eel.Stats.s_instrs_alloc)
+    let d =
+      stats_delta (fun () ->
+          E.jump_stats (E.read_contents ~cache_instrs mach exe))
+    in
+    (d "instrs_lifted", d "instrs_alloc")
   in
   let lifted, alloc_shared = count true in
   let _, alloc_unshared = count false in
@@ -287,12 +311,14 @@ let e7 () =
 let e8 () =
   print_endline "=== E8 (§5): allocated objects, EEL tool vs ad-hoc tool ===";
   let exe = Lazy.force spim_like in
-  Eel.Stats.reset ();
-  let _ = Qpt2.instrument mach exe in
-  let eel_objects = Eel.Stats.total_objects () in
+  let d = stats_delta (fun () -> Qpt2.instrument mach exe) in
+  let eel_objects = objects d in
   let old = Oldqpt.instrument exe in
-  Printf.printf "qpt2 (EEL) objects:   %d  (%s)\n" eel_objects
-    (Format.asprintf "%a" Eel.Stats.pp ());
+  Printf.printf
+    "qpt2 (EEL) objects:   %d  (instrs lifted=%d allocated=%d blocks=%d \
+     edges=%d snippets=%d cfgs=%d)\n"
+    eel_objects (d "instrs_lifted") (d "instrs_alloc") (d "blocks_alloc")
+    (d "edges_alloc") (d "snippets_alloc") (d "cfgs_built");
   Printf.printf "qpt (ad-hoc) objects: %d\n" old.Oldqpt.objects;
   Printf.printf "ratio:                %.1fx\n"
     (float_of_int eel_objects /. float_of_int old.Oldqpt.objects);
@@ -773,7 +799,6 @@ let micro () =
 (* ---------------------------------------------------------------- *)
 
 module Trace = Eel_obs.Trace
-module Metrics = Eel_obs.Metrics
 
 type experiment_obs = {
   x_name : string;
@@ -787,7 +812,6 @@ let observed (name, f) =
   ( name,
     fun () ->
       Metrics.reset ();
-      Eel.Stats.reset ();
       let tr = Trace.create () in
       Fun.protect
         ~finally:(fun () ->

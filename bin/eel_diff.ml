@@ -121,9 +121,9 @@ let verify ~jobs ~fuel ~tool ~json ~verbose files =
   (* fan the per-program verifications across domains; results come back in
      program order, and all counting/printing happens serially after the
      join, so the output is byte-identical whatever EEL_JOBS says. Metrics
-     and ledger entries live in Domain.DLS and merge deterministically at
-     the join, so --metrics works at any domain count; only --trace (span
-     hierarchies) forces a serial run. *)
+     (the ledger's counters included) live in Domain.DLS and merge
+     deterministically at the join, so --metrics works at any domain count;
+     only --trace (span hierarchies) forces a serial run. *)
   let results =
     Eel_util.Pool.map_list ?jobs
       (fun (name, img) ->

@@ -3,8 +3,9 @@
    what each instrumentation tool costs (the overhead ledger), with the
    divergence/violation summary the oracle produced along the way.
 
-   Two phases, both fanned across domains by Pool with DLS-merged results
-   (output is byte-identical at any EEL_JOBS):
+   Two phases, both fanned across domains by Pool; each job returns its
+   own result and the driver folds them, in input order (output is
+   byte-identical at any EEL_JOBS):
 
      1. hotspot: every program runs under the emulator's ground-truth
         profiler; the per-run calling-context tree is named via the SEF
@@ -123,7 +124,7 @@ let () =
         match !corpus_sel with "cpu" -> cpu | "os" -> os | _ -> cpu @ os)
     | fs -> List.map (fun f -> (Filename.basename f, File f, None)) fs
   in
-  (* both sweeps are jobs-agnostic (DLS metrics/ledger merge at the join),
+  (* both sweeps are jobs-agnostic (every job returns what it measured),
      but --trace pins them to one domain *)
   let jobs = ctx.Cli.jobs in
   (* ---- phase 1: hot-path attribution (one profiled run per program) ---- *)
@@ -138,16 +139,18 @@ let () =
             | Ok r ->
                 let p = Option.get r.Diffexec.r_profile in
                 let name_of = namer exe in
-                Hotspot.record
-                  (Emu.profile_hotspot ~name_of
-                     ~root:(name_of exe.Sef.entry) ~prefix:[ prog ] p);
                 ( prog,
                   Ok
                     ( Format.asprintf "%a" Diffexec.pp_stop r.Diffexec.r_stop,
-                      p.Emu.p_insns ) )))
+                      p.Emu.p_insns,
+                      Emu.profile_hotspot ~name_of
+                        ~root:(name_of exe.Sef.entry) ~prefix:[ prog ] p ) )))
       programs
   in
-  let hot = Hotspot.ambient () in
+  let hot = Hotspot.create () in
+  List.iter
+    (function _, Ok (_, _, h) -> Hotspot.merge ~into:hot h | _, Error _ -> ())
+    hot_rows;
   let grand_total = Hotspot.total hot in
   (* ---- phase 2: overhead ledger (tool x program sweep) ---- *)
   let pairs =
@@ -168,7 +171,12 @@ let () =
             | Ok ms -> (tool, prog, Ok ms.Toolbox.ms_entry)))
       pairs
   in
-  let entries = Ledger.entries () in
+  let entries =
+    List.filter_map (fun (_, _, r) -> Result.to_option r) ledger_rows
+    |> List.stable_sort (fun a b ->
+           compare (a.Ledger.le_tool, a.Ledger.le_prog)
+             (b.Ledger.le_tool, b.Ledger.le_prog))
+  in
   (* ---- render ---- *)
   Printf.printf "eel_report: %d programs x %d tools, fuel %d\n\n"
     (List.length programs) (List.length tools) !fuel;
@@ -176,7 +184,7 @@ let () =
   List.iter
     (fun (prog, res) ->
       match res with
-      | Ok (stop, insns) -> Printf.printf "  %-14s %9d  %s\n" prog insns stop
+      | Ok (stop, insns, _) -> Printf.printf "  %-14s %9d  %s\n" prog insns stop
       | Error m -> Printf.printf "  %-14s     ERROR  %s\n" prog m)
     hot_rows;
   Printf.printf "\nTop %d hot routines (of %d attributed instructions):\n"

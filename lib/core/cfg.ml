@@ -172,6 +172,8 @@ type builder = {
   mutable next_bid : int;
   mutable next_eid : int;
   mutable b_complete : bool;
+  n_blocks : Eel_obs.Metrics.counter;  (** [eel.stats.blocks_alloc] *)
+  n_edges : Eel_obs.Metrics.counter;  (** [eel.stats.edges_alloc] *)
 }
 
 let new_block bld ?(editable = true) ?addr kind instrs =
@@ -191,7 +193,7 @@ let new_block bld ?(editable = true) ?addr kind instrs =
     }
   in
   bld.next_bid <- bld.next_bid + 1;
-  (Stats.stats ()).blocks_alloc <- (Stats.stats ()).blocks_alloc + 1;
+  Eel_obs.Metrics.incr bld.n_blocks;
   Eel_util.Dyn.push bld.b_blocks b;
   b
 
@@ -200,7 +202,7 @@ let connect bld ?(editable = true) src dst ekind =
     { eid = bld.next_eid; esrc = src; edst = dst; ekind; e_editable = editable; e_edited = false }
   in
   bld.next_eid <- bld.next_eid + 1;
-  (Stats.stats ()).edges_alloc <- (Stats.stats ()).edges_alloc + 1;
+  Eel_obs.Metrics.incr bld.n_edges;
   src.succs <- src.succs @ [ e ];
   dst.preds <- e :: dst.preds;
   e
@@ -239,14 +241,22 @@ let build ?diag ?budget ~mach ~cache ~fetch ~lo ~hi ~entries ~tables () =
   if lo land 3 <> 0 then err "routine start 0x%x misaligned" lo;
   let n_words = (hi - lo) / 4 in
   Option.iter (fun b -> Diag.spend b (n_words + 1)) budget;
+  (* one build runs on one domain: look its counters up once *)
   let bld =
-    { b_blocks = Eel_util.Dyn.create (); next_bid = 0; next_eid = 0; b_complete = true }
+    {
+      b_blocks = Eel_util.Dyn.create ();
+      next_bid = 0;
+      next_eid = 0;
+      b_complete = true;
+      n_blocks = Eel_obs.Metrics.counter "eel.stats.blocks_alloc";
+      n_edges = Eel_obs.Metrics.counter "eel.stats.edges_alloc";
+    }
   in
   let exit_block = new_block bld ~editable:false Exit [||] in
-  (Stats.stats ()).cfgs_built <- (Stats.stats ()).cfgs_built + 1;
+  Eel_obs.Metrics.incr (Eel_obs.Metrics.counter "eel.stats.cfgs_built");
+  let lift = Instr_cache.lifter cache in
   let instr_at a =
-    if a < lo || a + 4 > hi then None
-    else Option.map (Instr_cache.lift cache) (fetch a)
+    if a < lo || a + 4 > hi then None else Option.map lift (fetch a)
   in
   let insn = Array.init n_words (fun i -> instr_at (lo + (4 * i))) in
   let get a =

@@ -145,12 +145,13 @@ let read_contents_inner ?(cache_instrs = true) ?diag ?budget (mach : Machine.t)
   (* ---- one linear scan of the text segment for control transfers ---- *)
   let call_targets = Hashtbl.create 64 in
   let branch_pairs = ref [] in
+  let lift = Instr_cache.lifter cache in
   let a = ref text_lo in
   while !a < text_hi do
     (match Sef.fetch32 exe !a with
     | None -> ()
     | Some w -> (
-        let i = Instr_cache.lift cache w in
+        let i = lift w in
         match (i.Instr.cat, Instr.abs_target ~pc:!a i) with
         | Instr.Call, Some tgt ->
             if tgt >= text_lo && tgt < text_hi then
@@ -464,12 +465,13 @@ let rec build_cfg t (r : routine) =
       t.hidden <- t.hidden @ [ h ];
       (* "recognizing a new routine may add entry points to existing
          routines": scan the carved region for out-bound transfers *)
+      let lift = Instr_cache.lifter t.cache in
       let a = ref cand in
       while !a < h.r_hi do
         (match fetch !a with
         | None -> ()
         | Some w -> (
-            let i = Instr_cache.lift t.cache w in
+            let i = lift w in
             match (i.Instr.cat, Instr.abs_target ~pc:!a i) with
             | (Instr.Call | Instr.Branch), Some tgt -> (
                 match find_routine t tgt with

@@ -37,18 +37,22 @@ type t = {
 
 exception Snippet_error of string
 
+(* the paper's object census (§5) counts snippets too *)
+let count_alloc () =
+  Eel_obs.Metrics.incr (Eel_obs.Metrics.counter "eel.stats.snippets_alloc")
+
 (** [of_asm mach ?params ?forbid ?callback body] assembles a snippet body. *)
 let of_asm (mach : Machine.t) ?(params = []) ?(forbid = Regset.empty) ?callback
     body =
   match mach.Machine.asm ~params body with
   | Error m -> raise (Snippet_error m)
   | Ok sn_template ->
-      (Stats.stats ()).snippets_alloc <- (Stats.stats ()).snippets_alloc + 1;
+      count_alloc ();
       { sn_template; sn_forbid = forbid; sn_callback = callback }
 
 (** [of_words words] wraps raw machine words (no virtual registers). *)
 let of_words ?(forbid = Regset.empty) ?callback words =
-  (Stats.stats ()).snippets_alloc <- (Stats.stats ()).snippets_alloc + 1;
+  count_alloc ();
   { sn_template = Template.of_words words; sn_forbid = forbid; sn_callback = callback }
 
 let length s = Template.length s.sn_template

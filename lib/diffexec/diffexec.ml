@@ -109,17 +109,10 @@ type run = {
     profile-identical to the interpreter (the test suite pins this
     corpus-wide, tool edits included), so profiled runs execute compiled
     code too; the engine itself falls back to tier-1 while a poke plan
-    is armed, so callers need not care. [~predecode:false] without an
-    explicit [tier] means {!Tier2.Interp}. *)
+    is armed, so callers need not care. *)
 let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
-    ?predecode ?tier ?(pokes = []) ?os (exe : Sef.t) : (run, Diag.error) result
-    =
-  let tier =
-    match (tier, predecode) with
-    | Some tr, _ -> tr
-    | None, Some false -> Tier2.Interp
-    | None, _ -> Tier2.Block
-  in
+    ?(tier = Tier2.Block) ?(pokes = []) ?os (exe : Sef.t) :
+    (run, Diag.error) result =
   let predecode = tier <> Tier2.Interp in
   match
     try Ok (Emu.load ?headroom ~predecode exe)

@@ -4,14 +4,14 @@
     instructions attributed directly to that calling context ([self]) plus a
     per-instruction-class breakdown. The emulator's profiler builds one of
     these per run ({!Eel_emu.Emu.profile_hotspot} converts its pc-keyed
-    calling-context tree into named frames); drivers merge many runs into
-    the per-domain ambient tree and render the result as a routine table, a
-    collapsed-stack flamegraph, or speedscope JSON.
+    calling-context tree into named frames); drivers {!merge} many runs into
+    one tree and render the result as a routine table, a collapsed-stack
+    flamegraph, or speedscope JSON.
 
     Everything here is integer sums over deterministic inputs, so merging
-    commutes: parallel sweeps absorbed at {!Eel_util.Pool} joins produce the
-    same tree as a serial sweep, and every renderer sorts its output, so
-    exports are byte-identical at any domain count. *)
+    commutes: a parallel sweep's per-run trees, merged in any order, give
+    the same tree as a serial sweep, and every renderer sorts its output,
+    so exports are byte-identical at any domain count. *)
 
 type node = {
   mutable n_self : int;  (** instructions attributed directly to this node *)
@@ -105,12 +105,6 @@ let merge ~into src =
       s.n_children
   in
   go into.t_root src.t_root
-
-(** Deep copy, so exported snapshots are immune to later mutation. *)
-let copy t =
-  let fresh = create ~classes:t.t_class_names () in
-  merge ~into:fresh t;
-  fresh
 
 (** {1 Per-routine aggregation} *)
 
@@ -250,22 +244,3 @@ let speedscope_json ?(name = "eel profile") t =
     (Printf.sprintf " \"name\": \"%s\", \"exporter\": \"eel\"}\n"
        (Json.escape name));
   Buffer.contents buf
-
-(** {1 Per-domain ambient tree}
-
-    Mirrors {!Metrics}: each domain accumulates into its own tree;
-    {!Eel_util.Pool} workers export at join time and the caller absorbs in
-    chunk order. Sums commute, so the merged tree is order-independent. *)
-
-let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> create ())
-let ambient () = Domain.DLS.get key
-
-(** Merge [src] into the calling domain's ambient tree. *)
-let record src = merge ~into:(ambient ()) src
-
-let reset () = Domain.DLS.set key (create ())
-
-let () =
-  Eel_util.Pool.on_join (fun () ->
-      let ex = copy (ambient ()) in
-      fun () -> record ex)

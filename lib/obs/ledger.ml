@@ -8,10 +8,10 @@
     so overhead is *explained*, not just observed ([le_unexplained] must be
     zero for an equivalent run).
 
-    Entries live in a per-domain table merged at {!Eel_util.Pool} joins
-    (keys are unique per job, so the union is order-independent), and every
-    {!record} also bumps additive [eel.ledger.<tool>.*] counters in
-    {!Metrics} for per-tool sweep totals. *)
+    An entry is a plain value: whoever measures it keeps it (a driver's
+    pool results, a cache blob). {!record} only publishes it as additive
+    [eel.ledger.<tool>.*] counters in {!Metrics}, the per-tool sweep
+    totals. *)
 
 type entry = {
   le_tool : string;
@@ -47,17 +47,8 @@ let expansion e =
   if e.le_insns_orig = 0 then 1.0
   else float_of_int e.le_insns_edited /. float_of_int e.le_insns_orig
 
-(** {1 Per-domain store} *)
-
-let key : (string * string, entry) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-let table () = Domain.DLS.get key
-
-(** Record [e], replacing any previous entry for its (tool, program) key,
-    and publish the additive per-tool counters. *)
+(** Publish [e] as the additive per-tool counters [eel.ledger.<tool>.*]. *)
 let record e =
-  Hashtbl.replace (table ()) (e.le_tool, e.le_prog) e;
   let c name v =
     if v <> 0 then
       Metrics.incr ~by:v
@@ -73,23 +64,62 @@ let record e =
   c "masked_events" (masked e);
   c "unexplained" e.le_unexplained
 
-(** All entries recorded in this domain (after a pool join: in any domain
-    of the sweep), sorted by (tool, program). *)
-let entries () =
-  Hashtbl.fold (fun _ e acc -> e :: acc) (table ()) []
-  |> List.sort (fun a b ->
-         match compare a.le_tool b.le_tool with
-         | 0 -> compare a.le_prog b.le_prog
-         | c -> c)
+(** {1 Binary codec}
 
-let reset () = Hashtbl.reset (table ())
+    The entry's counts as 32-bit words, in the one fixed order that cached
+    entries are stored in; tool, program and verdict travel beside them. *)
 
-let () =
-  Eel_util.Pool.on_join (fun () ->
-      let ex = entries () in
-      fun () ->
-        let t = table () in
-        List.iter (fun e -> Hashtbl.replace t (e.le_tool, e.le_prog) e) ex)
+let write_counts buf e =
+  List.iter
+    (Eel_util.Bytebuf.w32 buf)
+    [
+      e.le_sites;
+      e.le_bytes_orig;
+      e.le_bytes_edited;
+      e.le_routines_touched;
+      e.le_insns_orig;
+      e.le_insns_edited;
+      e.le_mem_orig;
+      e.le_mem_edited;
+      e.le_stores_masked;
+      e.le_traps_masked;
+      e.le_sys_masked;
+      e.le_unexplained;
+    ]
+
+(** Read back what {!write_counts} wrote; raises
+    {!Eel_util.Bytebuf.Truncated} on a short buffer. *)
+let read_counts r ~tool ~prog ~verdict =
+  let n () = Eel_util.Bytebuf.r32 r in
+  let le_sites = n () in
+  let le_bytes_orig = n () in
+  let le_bytes_edited = n () in
+  let le_routines_touched = n () in
+  let le_insns_orig = n () in
+  let le_insns_edited = n () in
+  let le_mem_orig = n () in
+  let le_mem_edited = n () in
+  let le_stores_masked = n () in
+  let le_traps_masked = n () in
+  let le_sys_masked = n () in
+  let le_unexplained = n () in
+  {
+    le_tool = tool;
+    le_prog = prog;
+    le_verdict = verdict;
+    le_sites;
+    le_bytes_orig;
+    le_bytes_edited;
+    le_routines_touched;
+    le_insns_orig;
+    le_insns_edited;
+    le_mem_orig;
+    le_mem_edited;
+    le_stores_masked;
+    le_traps_masked;
+    le_sys_masked;
+    le_unexplained;
+  }
 
 (** {1 Rendering} *)
 
@@ -101,7 +131,8 @@ let entry_to_json e =
      \"expansion\": %.3f, \"mem_orig\": %d, \"mem_edited\": %d, \
      \"extra_mem\": %d, \"stores_masked\": %d, \"traps_masked\": %d, \
      \"sys_masked\": %d, \"unexplained\": %d}"
-    e.le_tool e.le_prog e.le_verdict e.le_sites e.le_bytes_orig
+    (Json.escape e.le_tool) (Json.escape e.le_prog) (Json.escape e.le_verdict)
+    e.le_sites e.le_bytes_orig
     e.le_bytes_edited (bytes_added e) e.le_routines_touched e.le_insns_orig
     e.le_insns_edited (expansion e) e.le_mem_orig e.le_mem_edited
     (extra_mem e) e.le_stores_masked e.le_traps_masked e.le_sys_masked

@@ -2,10 +2,10 @@
     histograms.
 
     This is the uniform introspection surface the tools and the benchmark
-    harness read instead of ad-hoc mutable records scattered per module.
-    [Eel.Stats] (the paper's object-allocation counters) registers its
-    fields here as callback gauges, so the hot increment paths keep their
-    plain mutable-int cost while every consumer sees one namespace.
+    harness read instead of ad-hoc mutable records scattered per module;
+    the paper's object-allocation figures are its [eel.stats.*] counters.
+    A counter is a plain [int ref]: hot paths look it up once and bump the
+    ref.
 
     Registration is idempotent by name: [counter "x"] returns the existing
     counter on the second call, and raises [Invalid_argument] if "x" is
@@ -15,9 +15,10 @@
     own registry, so jobs fanned out through {!Eel_util.Pool} can bump
     counters without locks or races. The pool merges worker registries
     back into the caller's at join time — in chunk order, via the
-    {!export}/{!absorb} pair registered as a pool join hook below — so a
+    {!snapshot}/{!absorb} pair registered as a pool join hook below — so a
     parallel run's final registry matches the serial run's: counters and
-    histograms accumulate, gauges keep the last chunk that set them. *)
+    histograms accumulate, gauges keep the last chunk that set them. It is
+    the only per-domain state the pool merges. *)
 
 type histogram = {
   h_edges : float array;  (** strictly increasing upper bucket edges *)
@@ -33,11 +34,10 @@ type gauge = float ref
 type metric =
   | M_counter of counter
   | M_gauge of gauge
-  | M_gauge_fn of (unit -> float)  (** read-through to external state *)
   | M_hist of histogram
 
-(* one registry per domain: worker domains start empty, so an export after
-   a pool chunk is exactly that chunk's delta *)
+(* one registry per domain: worker domains start empty, so a snapshot
+   after a pool chunk is exactly that chunk's delta *)
 let registry_key : (string, metric) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
@@ -46,7 +46,6 @@ let registry () = Domain.DLS.get registry_key
 let kind_name = function
   | M_counter _ -> "counter"
   | M_gauge _ -> "gauge"
-  | M_gauge_fn _ -> "gauge_fn"
   | M_hist _ -> "histogram"
 
 let register name make match_existing =
@@ -80,16 +79,6 @@ let gauge name =
     (function M_gauge r -> Some r | _ -> None)
 
 let set (g : gauge) v = g := v
-
-(** [gauge_fn name f] registers (or replaces) a gauge whose value is read
-    from [f] at snapshot time — zero cost on the instrumented path. *)
-let gauge_fn name f =
-  match Hashtbl.find_opt (registry ()) name with
-  | None | Some (M_gauge_fn _) -> Hashtbl.replace (registry ()) name (M_gauge_fn f)
-  | Some m ->
-      invalid_arg
-        (Printf.sprintf "Metrics: %s is already registered as a %s" name
-           (kind_name m))
 
 let histogram ~edges name =
   let ok = ref (Array.length edges > 0) in
@@ -131,7 +120,6 @@ type value =
 let read = function
   | M_counter r -> Int !r
   | M_gauge r -> Float !r
-  | M_gauge_fn f -> Float (f ())
   | M_hist h ->
       Hist
         {
@@ -147,16 +135,14 @@ let snapshot () =
 
 let find name = Option.map read (Hashtbl.find_opt (registry ()) name)
 
-(** [reset ()] zeroes counters, gauges and histograms; callback gauges keep
-    reading their external state (resetting that state is its owner's job,
-    e.g. [Stats.reset]). Registrations survive. *)
+(** [reset ()] zeroes counters, gauges and histograms. Registrations
+    survive. *)
 let reset () =
   Hashtbl.iter
     (fun _ m ->
       match m with
       | M_counter r -> r := 0
       | M_gauge r -> r := 0.
-      | M_gauge_fn _ -> ()
       | M_hist h ->
           Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
           h.h_sum <- 0.;
@@ -166,22 +152,14 @@ let reset () =
 (** [clear ()] drops every registration (test isolation). *)
 let clear () = Hashtbl.reset (registry ())
 
-(** {1 Cross-domain export/absorb}
+(** {1 Cross-domain merge}
 
     Worker domains in an {!Eel_util.Pool} fan-out start with an empty
-    registry; [export] captures everything a chunk registered and
+    registry; a {!snapshot} captures everything a chunk registered and
     [absorb] merges it into the caller's registry. The merge is the
     serial semantics, replayed: counters and histograms add, gauges are
     overwritten (the pool absorbs chunks in order, so the last chunk that
-    set a gauge wins — exactly the serial last-writer). Callback gauges
-    are skipped: they read external state their owning domain holds. *)
-
-let export () =
-  List.filter_map
-    (fun (name, m) ->
-      match m with M_gauge_fn _ -> None | m -> Some (name, read m))
-    (Hashtbl.fold (fun name m acc -> (name, m) :: acc) (registry ()) [])
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+    set a gauge wins — exactly the serial last-writer). *)
 
 let absorb ex =
   List.iter
@@ -205,7 +183,7 @@ let absorb ex =
 (* a pool worker's registry rides home on the join hook *)
 let () =
   Eel_util.Pool.on_join (fun () ->
-      let ex = export () in
+      let ex = snapshot () in
       fun () -> absorb ex)
 
 (** {1 Rendering} *)

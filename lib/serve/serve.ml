@@ -136,23 +136,11 @@ let job_key (cfg : config) (j : Proto.job) ?os (image : string) =
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let encode_outcome (o : outcome) =
-  let e = o.o_entry in
   let buf = Buffer.create (String.length o.o_edited + 128) in
   Buffer.add_string buf result_magic;
   B.wstr buf o.o_verdict;
   B.w32 buf o.o_masked;
-  B.w32 buf e.Ledger.le_sites;
-  B.w32 buf e.Ledger.le_bytes_orig;
-  B.w32 buf e.Ledger.le_bytes_edited;
-  B.w32 buf e.Ledger.le_routines_touched;
-  B.w32 buf e.Ledger.le_insns_orig;
-  B.w32 buf e.Ledger.le_insns_edited;
-  B.w32 buf e.Ledger.le_mem_orig;
-  B.w32 buf e.Ledger.le_mem_edited;
-  B.w32 buf e.Ledger.le_stores_masked;
-  B.w32 buf e.Ledger.le_traps_masked;
-  B.w32 buf e.Ledger.le_sys_masked;
-  B.w32 buf e.Ledger.le_unexplained;
+  Ledger.write_counts buf o.o_entry;
   B.w32 buf (String.length o.o_edited);
   Buffer.add_string buf o.o_edited;
   Buffer.contents buf
@@ -165,18 +153,7 @@ let decode_outcome ~tool ~prog (s : string) : outcome option =
     else
       let verdict = B.rstr r in
       let masked = B.r32 r in
-      let le_sites = B.r32 r in
-      let le_bytes_orig = B.r32 r in
-      let le_bytes_edited = B.r32 r in
-      let le_routines_touched = B.r32 r in
-      let le_insns_orig = B.r32 r in
-      let le_insns_edited = B.r32 r in
-      let le_mem_orig = B.r32 r in
-      let le_mem_edited = B.r32 r in
-      let le_stores_masked = B.r32 r in
-      let le_traps_masked = B.r32 r in
-      let le_sys_masked = B.r32 r in
-      let le_unexplained = B.r32 r in
+      let entry = Ledger.read_counts r ~tool ~prog ~verdict in
       let n = B.r32 r in
       let edited = Bytes.to_string (B.rbytes r n) in
       Some
@@ -185,24 +162,7 @@ let decode_outcome ~tool ~prog (s : string) : outcome option =
           o_masked = masked;
           o_result_hit = true;
           o_edited = edited;
-          o_entry =
-            {
-              Ledger.le_tool = tool;
-              le_prog = prog;
-              le_verdict = verdict;
-              le_sites;
-              le_bytes_orig;
-              le_bytes_edited;
-              le_routines_touched;
-              le_insns_orig;
-              le_insns_edited;
-              le_mem_orig;
-              le_mem_edited;
-              le_stores_masked;
-              le_traps_masked;
-              le_sys_masked;
-              le_unexplained;
-            };
+          o_entry = entry;
         }
   with
   | v -> v

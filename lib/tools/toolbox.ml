@@ -199,11 +199,13 @@ let os_interpose (ap : applied) spec =
     ({ ap with ap_contract = contract }, Os_spec.with_policy spec sfi_policy)
 
 (** [measure ~prog name mach exe] is {!apply} + {!Diffexec.verify_edit}
-    with both sides profiled, folded into an overhead-ledger entry recorded
-    under [(name, prog)]. This is the one door for drivers that want the
-    paper's overhead tables: eel_report, eel_diff --tool, and the bench
-    equiv sweep all come through here, so the ledger is populated (and
-    merged at pool joins) no matter which driver ran. *)
+    with both sides profiled, folded into the overhead-ledger entry
+    [ms_entry] for [(name, prog)] and published as its tool's
+    [eel.ledger.<tool>.*] counters ({!Ledger.record}). This is the one
+    door for drivers that want the paper's overhead tables: eel_report,
+    eel_diff --tool, and the bench equiv sweep all come through here, so
+    the per-tool counters add up (and merge at pool joins, like every
+    metric) no matter which driver ran. *)
 let measure ?fuel ?limit ?sfi_base ?sfi_size ?pokes_b ?os ~prog name mach exe
     : (measured, Diag.error) result =
   match

@@ -23,13 +23,13 @@
     {1 Join hooks}
 
     Jobs mutate per-domain ambient state — the {!Eel_obs.Metrics} registry
-    and the [Eel.Stats] allocation counters are domain-local — and that
-    state must survive the join. A hook registered with {!on_join} runs in
-    each worker domain after its chunk finishes and returns a {e merge
-    thunk}; the pool runs the merge thunks on the calling domain, in chunk
-    order, before [map] returns. [Metrics] and [Stats] register their
-    export/absorb pairs this way at start-up, so callers never thread
-    registries by hand.
+    is domain-local — and that state must survive the join. A hook
+    registered with {!on_join} runs in each worker domain after its chunk
+    finishes and returns a {e merge thunk}; the pool runs the merge thunks
+    on the calling domain, in chunk order, before [map] returns. [Metrics]
+    registers its snapshot/absorb pair this way at start-up, so callers
+    never thread registries by hand; anything else a job measures comes
+    back as its result.
 
     Exceptions: a job that raises aborts the whole map — the worker's
     exception is re-raised on the calling domain by [Domain.join]. Jobs

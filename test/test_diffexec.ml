@@ -133,18 +133,18 @@ let test_identity_no_text () =
         (Dx.verdict_name rp.Dx.rp_verdict)
 
 let test_predecode_self_differential () =
-  (* the predecoded fast path (ISSUE 5) under the oracle's own event sink:
-     every corpus program must produce a byte-identical observable log,
-     the same stop condition, and the same event total with predecode on
-     and off — the emulator differentially tested against itself *)
+  (* the predecoded tier under the oracle's own event sink: every corpus
+     program must produce a byte-identical observable log, the same stop
+     condition, and the same event total as the decode-per-step
+     interpreter — the emulator differentially tested against itself *)
   List.iter
     (fun (name, exe) ->
-      let exec ~predecode =
-        match Dx.execute ~predecode exe with
+      let exec tier =
+        match Dx.execute ~tier exe with
         | Ok r -> r
         | Error e -> Alcotest.failf "%s: %s" name (Diag.error_message e)
       in
-      let a = exec ~predecode:true and b = exec ~predecode:false in
+      let a = exec Eel_emu.Tier2.Predecode and b = exec Eel_emu.Tier2.Interp in
       Alcotest.(check string)
         (name ^ ": same stop")
         (Format.asprintf "%a" Dx.pp_stop b.Dx.r_stop)

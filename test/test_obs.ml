@@ -185,12 +185,12 @@ let test_counters_gauges () =
   (match Metrics.gauge "t.count" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "kind mismatch accepted");
-  Metrics.gauge_fn "t.live" (fun () -> 2.5);
-  Alcotest.(check bool) "gauge_fn" true (Metrics.find "t.live" = Some (Metrics.Float 2.5));
+  Metrics.set (Metrics.gauge "t.live") 2.5;
+  Alcotest.(check bool) "gauge" true (Metrics.find "t.live" = Some (Metrics.Float 2.5));
   Metrics.reset ();
   Alcotest.(check bool) "reset counter" true (Metrics.find "t.count" = Some (Metrics.Int 0));
-  Alcotest.(check bool) "gauge_fn survives reset" true
-    (Metrics.find "t.live" = Some (Metrics.Float 2.5));
+  Alcotest.(check bool) "reset gauge" true
+    (Metrics.find "t.live" = Some (Metrics.Float 0.));
   Metrics.clear ()
 
 let test_histogram_edges () =
@@ -394,33 +394,34 @@ let sample_entry =
 
 let test_ledger_record () =
   Metrics.clear ();
-  Ledger.reset ();
-  Ledger.record sample_entry;
-  Alcotest.(check int) "one entry" 1 (List.length (Ledger.entries ()));
-  let e = List.hd (Ledger.entries ()) in
+  let e = sample_entry in
   Alcotest.(check int) "bytes added" 60 (Ledger.bytes_added e);
   Alcotest.(check int) "extra insns" 30 (Ledger.extra_insns e);
   Alcotest.(check int) "extra mem" 4 (Ledger.extra_mem e);
   Alcotest.(check int) "masked" 5 (Ledger.masked e);
   Alcotest.(check (float 1e-9)) "expansion" 1.6 (Ledger.expansion e);
+  Ledger.record e;
   Alcotest.(check bool) "counter published" true
     (Metrics.find "eel.ledger.qpt2.bytes_added" = Some (Metrics.Int 60));
-  (* re-recording the same (tool, prog) replaces, never duplicates *)
+  (* the counters are sweep totals: a second entry of the tool adds *)
   Ledger.record { sample_entry with Ledger.le_sites = 5 };
-  (match Ledger.entries () with
-  | [ e ] -> Alcotest.(check int) "replaced sites" 5 e.Ledger.le_sites
-  | es -> Alcotest.failf "expected 1 entry after replace, got %d" (List.length es));
-  (* the JSON rendering parses *)
-  (match Json.parse (Ledger.to_json (Ledger.entries ())) with
-  | Ok (Json.Arr [ _ ]) -> ()
+  Alcotest.(check bool) "programs add" true
+    (Metrics.find "eel.ledger.qpt2.programs" = Some (Metrics.Int 2));
+  Alcotest.(check bool) "sites add" true
+    (Metrics.find "eel.ledger.qpt2.sites" = Some (Metrics.Int 8));
+  (* the JSON rendering parses, and a hostile input name survives it *)
+  let hostile = {|q"x\y.sef|} in
+  (match Json.parse (Ledger.to_json [ { e with Ledger.le_prog = hostile } ]) with
+  | Ok (Json.Arr [ row ]) ->
+      Alcotest.(check (option string)) "escaped prog round-trips"
+        (Some hostile)
+        (match Json.member "prog" row with Some (Json.Str p) -> Some p | _ -> None)
   | Ok _ -> Alcotest.fail "ledger json shape"
   | Error m -> Alcotest.failf "ledger json invalid: %s" m);
-  Ledger.reset ();
   Metrics.clear ()
 
 let test_measure_cross_check () =
   Metrics.clear ();
-  Ledger.reset ();
   let exe = assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) in
   (match Toolbox.measure ~prog:"fib" "qpt2" Eel_sparc.Mach.mach exe with
   | Error e -> Alcotest.failf "measure failed: %s" (Diag.error_message e)
@@ -438,10 +439,9 @@ let test_measure_cross_check () =
         (e.Ledger.le_stores_masked > 0);
       Alcotest.(check bool) "routines touched" true
         (e.Ledger.le_routines_touched > 0);
-      (* measure recorded the entry in the ambient ledger *)
-      Alcotest.(check int) "ledger entry recorded" 1
-        (List.length (Ledger.entries ())));
-  Ledger.reset ();
+      (* measure published the entry as its tool's counters *)
+      Alcotest.(check bool) "ledger entry recorded" true
+        (Metrics.find "eel.ledger.qpt2.programs" = Some (Metrics.Int 1)));
   Metrics.clear ()
 
 (* ------------------------------------------------------------------ *)
@@ -743,6 +743,37 @@ let test_cli_traces_validate () =
       ("eel_report", "--tool qpt2 " ^ sef);
     ]
 
+(* two inputs that share a file name are still two programs: the report
+   keeps a ledger row for each *)
+let test_report_same_basename () =
+  with_workload @@ fun dir _ ->
+  let exe = assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) in
+  let sef sub =
+    let d = Filename.concat dir sub in
+    Unix.mkdir d 0o700;
+    let f = Filename.concat d "x.sef" in
+    Sef.write_file f exe;
+    Filename.quote f
+  in
+  let json = Filename.concat dir "report.json" in
+  let rc, _ =
+    run_tool dir "eel_report"
+      (String.concat " "
+         [ "--tool qpt2 --json"; Filename.quote json; sef "a"; sef "b" ])
+  in
+  Alcotest.(check int) "eel_report exit" 0 rc;
+  let ic = open_in_bin json in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Json.parse text with
+  | Ok report -> (
+      match Json.member "ledger" report with
+      | Some (Json.Arr rows) ->
+          Alcotest.(check int) "one ledger entry per input" 2
+            (List.length rows)
+      | _ -> Alcotest.fail "report has no ledger array")
+  | Error m -> Alcotest.failf "report json invalid: %s" m
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -799,5 +830,7 @@ let () =
             test_cli_exit_convention;
           Alcotest.test_case "every --trace output validates" `Quick
             test_cli_traces_validate;
+          Alcotest.test_case "eel_report keeps inputs that share a name"
+            `Quick test_report_same_basename;
         ] );
     ]

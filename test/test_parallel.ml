@@ -38,6 +38,12 @@ let check_jobs_invariant name exe_name args =
 let test_fuzz_plain () =
   check_jobs_invariant "fuzz" "eel_fuzz.exe" "--count 80 --seed 42 --verbose"
 
+let test_fuzz_metrics () =
+  (* the eel.stats counters bumped by CFG builds in pool workers merge
+     home with the rest of the registry *)
+  check_jobs_invariant "fuzz --metrics" "eel_fuzz.exe"
+    "--count 80 --seed 42 --metrics"
+
 let test_fuzz_diff () =
   check_jobs_invariant "fuzz --diff" "eel_fuzz.exe" "--diff --count 48 --seed 42"
 
@@ -47,13 +53,14 @@ let test_diff_tool_json () =
   check_jobs_invariant "diff --tool --json" "eel_diff.exe" "--tool qpt2 --json"
 
 let test_diff_metrics () =
-  (* ledger/metrics counters are DLS-merged at pool joins, so --metrics
-     must report identical totals at any domain count *)
+  (* the ledger's counters live in Metrics, merged at pool joins, so
+     --metrics must report identical totals at any domain count *)
   check_jobs_invariant "diff --metrics" "eel_diff.exe" "--tool qpt2 --metrics"
 
 let test_report () =
   (* hotspot attribution + overhead ledger: table, flame totals and JSON
-     all come from DLS-merged state and must not depend on the fan-out *)
+     are folded from the jobs' own results and must not depend on the
+     fan-out *)
   check_jobs_invariant "report" "eel_report.exe" "--tool qpt2 --top 5 --json -"
 
 (* OS-mode workload generation (ISSUE 9): the same seed must yield a
@@ -190,6 +197,7 @@ let () =
       ( "determinism",
         [
           Alcotest.test_case "fuzz corpus sweep" `Quick test_fuzz_plain;
+          Alcotest.test_case "fuzz allocation counters" `Quick test_fuzz_metrics;
           Alcotest.test_case "fuzz differential mode" `Quick test_fuzz_diff;
           Alcotest.test_case "identity-diff table" `Quick test_diff_table;
           Alcotest.test_case "tool-diff JSON report" `Quick test_diff_tool_json;

@@ -463,6 +463,46 @@ let test_result_cache_robustness () =
   check_bool "corrupt entry is a miss" true (not (Serve.cached r));
   check_bool "job still verifies" true (Serve.ok r)
 
+let test_outcome_codec () =
+  (* all 13 counts — o_masked and the entry's twelve — are distinct, so a
+     swapped pair in the wire order would show *)
+  let entry =
+    {
+      Eel_obs.Ledger.le_tool = "qpt2";
+      le_prog = "fib";
+      le_verdict = "equivalent";
+      le_sites = 1;
+      le_bytes_orig = 2;
+      le_bytes_edited = 3;
+      le_routines_touched = 4;
+      le_insns_orig = 5;
+      le_insns_edited = 6;
+      le_mem_orig = 7;
+      le_mem_edited = 8;
+      le_stores_masked = 9;
+      le_traps_masked = 10;
+      le_sys_masked = 11;
+      le_unexplained = 12;
+    }
+  in
+  let o =
+    {
+      Serve.o_verdict = "equivalent";
+      o_masked = 13;
+      o_result_hit = true;
+      o_edited = "\x00edited\xff";
+      o_entry = entry;
+    }
+  in
+  let decode = Serve.decode_outcome ~tool:"qpt2" ~prog:"fib" in
+  let blob = Serve.encode_outcome o in
+  check_bool "decode (encode o) = o" true (decode blob = Some o);
+  Alcotest.(check (list int))
+    "no proper prefix decodes" []
+    (List.filter
+       (fun n -> decode (String.sub blob 0 n) <> None)
+       (List.init (String.length blob) Fun.id))
+
 (* ---------------- protocol ---------------- *)
 
 let test_proto_parse () =
@@ -543,6 +583,7 @@ let () =
           Alcotest.test_case "seeded-analysis identity" `Slow test_analysis_seeded_identity;
           Alcotest.test_case "concurrent service races" `Slow test_concurrent_service_races;
           Alcotest.test_case "result-cache robustness" `Quick test_result_cache_robustness;
+          Alcotest.test_case "outcome codec" `Quick test_outcome_codec;
         ] );
       ( "protocol",
         [
