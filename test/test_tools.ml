@@ -459,10 +459,60 @@ let test_optprof_under_contract_oracle () =
       Alcotest.(check bool) "counter traffic masked" true
         (er.Eel_diffexec.Diffexec.er_masked > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Edited-image golden digests                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The MD5 of [Sef.to_string] of every tool's edited image, over the 22
+   corpus programs and one 40-routine gcc and sunpro generated program,
+   pinned in edited-digests.txt (one "tool program md5" line each). The
+   editor's output changes only on purpose; when it does, the failure
+   message carries the whole replacement file. *)
+let golden_file = "edited-digests.txt"
+
+let golden_lines () =
+  let progs =
+    Eel_diffexec.Corpus.all ()
+    @ List.map (fun (n, e, _) -> (n, e)) (Eel_diffexec.Corpus.all_os ())
+    @ [
+        ("gcc-s11-r40", workload ~routines:40 ~seed:11 ());
+        ( "sunpro-s12-r40",
+          workload ~style:Eel_workload.Gen.Sunpro ~routines:40 ~seed:12 () );
+      ]
+  in
+  List.concat_map
+    (fun tool ->
+      List.map
+        (fun (prog, exe) ->
+          match Eel_tools.Toolbox.apply tool mach exe with
+          | Ok ap ->
+              Printf.sprintf "%s %s %s" tool prog
+                (Digest.to_hex
+                   (Digest.string
+                      (Eel_sef.Sef.to_string ap.Eel_tools.Toolbox.ap_edited)))
+          | Error m -> Alcotest.failf "%s: %s" tool m)
+        progs)
+    Eel_tools.Toolbox.names
+
+let test_golden_digests () =
+  let got = golden_lines () in
+  let want =
+    In_channel.with_open_text golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  if got <> want then
+    Alcotest.failf "%d of %d edited-image digests differ; replacement %s:\n%s"
+      (List.length (List.filter (fun l -> not (List.mem l want)) got))
+      (List.length got) golden_file (String.concat "\n" got)
+
 let () =
   Alcotest.run "tools"
     (main_suites
     @ [
+        ( "golden",
+          [ Alcotest.test_case "edited-image digests" `Quick test_golden_digests ]
+        );
         ( "optprof",
           [
             Alcotest.test_case "loop placement" `Quick test_optprof_loop;
