@@ -437,15 +437,7 @@ let ablation_scavenging () =
         (C.blocks g);
       E.produce_edited_routine t r
     in
-    List.iter do_routine (E.routines t);
-    let rec drain () =
-      match E.take_hidden t with
-      | Some r ->
-          do_routine r;
-          drain ()
-      | None -> ()
-    in
-    drain ();
+    E.iter_routines t do_routine;
     let ed = edited_with t in
     let res, _ = Emu.run_exe ed in
     assert (res.Emu.out = orig.Emu.out);

@@ -112,7 +112,9 @@ let () =
   in
   let programs =
     (* default corpus = CPU-bound programs + the OS-mode corpus (each OS
-       program carries its in-memory world spec); --corpus narrows it *)
+       program carries its in-memory world spec); --corpus narrows it. A
+       file input is named by its path as given, so a/x.sef and b/x.sef
+       stay two programs in every table, ledger row and flame root. *)
     match List.rev !files with
     | [] -> (
         let cpu = List.map (fun (n, src) -> (n, Src src, None)) Corpus.sources
@@ -122,7 +124,7 @@ let () =
             Corpus.os_sources
         in
         match !corpus_sel with "cpu" -> cpu | "os" -> os | _ -> cpu @ os)
-    | fs -> List.map (fun f -> (Filename.basename f, File f, None)) fs
+    | fs -> List.map (fun f -> (f, File f, None)) fs
   in
   (* both sweeps are jobs-agnostic (every job returns what it measured),
      but --trace pins them to one domain *)

@@ -27,9 +27,20 @@ type reloc = {
 
 type t = { words : int array; vuses : vreg_use list; relocs : reloc list }
 
-let of_words words = { words = Array.of_list words; vuses = []; relocs = [] }
-
 let length t = Array.length t.words
+
+(** [concat a b] is [a]'s words followed by [b]'s, with [b]'s
+    virtual-register uses and relocations re-indexed past [a]. Tools join a
+    once-assembled body to the words they build for each site this way. *)
+let concat a b =
+  let n = length a in
+  {
+    words = Array.append a.words b.words;
+    vuses =
+      a.vuses @ List.map (fun (u : vreg_use) -> { u with index = u.index + n }) b.vuses;
+    relocs =
+      a.relocs @ List.map (fun (r : reloc) -> { r with index = r.index + n }) b.relocs;
+  }
 
 (** Number of distinct virtual registers used. *)
 let num_vregs t =

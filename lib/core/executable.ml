@@ -512,6 +512,14 @@ let take_hidden t =
         List.sort (fun a b -> compare a.r_lo b.r_lo) (h :: t.routines);
       Some h
 
+(** [iter_routines t f] applies [f] to every routine, then to each hidden
+    routine that editing discovers ({!take_hidden}) until none is left —
+    paper Fig. 1's main loop, which qpt2 spells out. *)
+let iter_routines t f =
+  List.iter f t.routines;
+  let rec drain () = match take_hidden t with Some r -> f r; drain () | None -> () in
+  drain ()
+
 (** A "routine" that analysis revealed to be pure data (e.g. a table in the
     text segment carrying a function-looking symbol). *)
 let is_data_table t r =

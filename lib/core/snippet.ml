@@ -9,11 +9,14 @@
     A snippet's body is written in the target machine's assembly syntax with
     {e virtual registers} ([%v0]–[%v7]) standing for the registers EEL will
     scavenge, and [$name] parameters for tool-supplied constants (counter
-    addresses, handler entry points). Tools may also patch constant fields
-    after creation ({!patch_hi}/{!patch_lo} — the paper's [SET_SETHI_HI]
-    idiom) and may register a {e call-back} that runs after register
-    allocation and placement, receiving the final instruction words and
-    address (used for displacement fix-ups and address recording). *)
+    addresses, handler entry points). As in the paper, a tool assembles a
+    body once ({!template}) and makes one snippet per site from it
+    ({!of_template}), customizing each copy by patching constant fields
+    ({!patch_hi}/{!patch_lo} — the paper's [SET_SETHI_HI] idiom) or by
+    joining it to words built for the site ({!Template.concat}). A snippet
+    may also carry a {e call-back} that runs after register allocation and
+    placement, receiving the final instruction words and address (used for
+    displacement fix-ups and address recording). *)
 
 open Eel_arch
 
@@ -41,33 +44,46 @@ exception Snippet_error of string
 let count_alloc () =
   Eel_obs.Metrics.incr (Eel_obs.Metrics.counter "eel.stats.snippets_alloc")
 
-(** [of_asm mach ?params ?forbid ?callback body] assembles a snippet body. *)
-let of_asm (mach : Machine.t) ?(params = []) ?(forbid = Regset.empty) ?callback
-    body =
+(** [template mach ?params body] assembles a snippet body once, with its
+    [$name] parameters bound from [params]. Raises {!Snippet_error} when the
+    body does not assemble. *)
+let template (mach : Machine.t) ?(params = []) body =
   match mach.Machine.asm ~params body with
   | Error m -> raise (Snippet_error m)
-  | Ok sn_template ->
-      count_alloc ();
-      { sn_template; sn_forbid = forbid; sn_callback = callback }
+  | Ok t -> t
 
-(** [of_words words] wraps raw machine words (no virtual registers). *)
-let of_words ?(forbid = Regset.empty) ?callback words =
+(** [of_template ?forbid ?callback t] makes one site's snippet from an
+    assembled template; the template itself is shared, never modified. *)
+let of_template ?(forbid = Regset.empty) ?callback sn_template =
   count_alloc ();
-  { sn_template = Template.of_words words; sn_forbid = forbid; sn_callback = callback }
+  { sn_template; sn_forbid = forbid; sn_callback = callback }
+
+(** [of_asm mach ?params ?forbid ?callback body] is [of_template] of
+    [template mach ?params body]: a one-off snippet. A tool placing the same
+    body at many sites assembles it once with {!template} instead. *)
+let of_asm mach ?params ?forbid ?callback body =
+  of_template ?forbid ?callback (template mach ?params body)
 
 let length s = Template.length s.sn_template
 
 (** [patch s index f] rewrites template word [index] with [f] — the
     low-level customization hook of paper Fig. 5 ([find_inst] +
-    [SET_SETHI_HI]). Returns a new snippet. *)
+    [SET_SETHI_HI]). Returns a new snippet; [s] and its template are left
+    as they were. *)
 let patch s index f =
   let words = Array.copy s.sn_template.Template.words in
   words.(index) <- f words.(index);
   { s with sn_template = { s.sn_template with Template.words } }
 
+(** [patch_hi mach s index ~value] sets the high-part constant field of
+    word [index] (a SPARC [sethi]) to [value]'s, through
+    [Machine.set_const_hi]. *)
 let patch_hi (mach : Machine.t) s index ~value =
   patch s index (fun w -> mach.Machine.set_const_hi w ~value)
 
+(** [patch_lo mach s index ~value] sets the low-part constant field of word
+    [index] (the [%lo] immediate of an [or], [ld] or [st]) to [value]'s,
+    through [Machine.set_const_lo]. *)
 let patch_lo (mach : Machine.t) s index ~value =
   patch s index (fun w -> mach.Machine.set_const_lo w ~value)
 

@@ -102,7 +102,8 @@ let read_counts r ~tool ~prog ~verdict =
   let le_stores_masked = n () in
   let le_traps_masked = n () in
   let le_sys_masked = n () in
-  let le_unexplained = n () in
+  (* the one signed count: a difference, so sign-extend its 32 bits *)
+  let le_unexplained = Eel_util.Word.sext 32 (n ()) in
   {
     le_tool = tool;
     le_prog = prog;

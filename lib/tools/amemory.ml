@@ -29,6 +29,7 @@ module C = Eel.Cfg
 module Snippet = Eel.Snippet
 module Regset = Eel_arch.Regset
 module Instr = Eel_arch.Instr
+module Template = Eel_arch.Template
 
 type t = {
   edited : Eel_sef.Sef.t;
@@ -72,10 +73,11 @@ let handler_asm =
 |}
 
 (* Fast-path test when the condition codes are DEAD at the site: ordinary
-   compare and branch. %v0 = line index, %v1/%v2 scratch, %v3 saves %o7. *)
-let test_cc_dead ea_asm =
-  ea_asm
-  ^ {|
+   compare and branch. It follows the site's {!Ea.word}, so %v0 enters as
+   the effective address and becomes the line index; %v1/%v2 scratch, %v3
+   saves %o7. *)
+let test_cc_dead =
+  {|
         srl %v0, 4, %v0
         sethi %hi($table), %v1
         or %v1, %lo($table), %v1
@@ -99,9 +101,8 @@ Lhit:   sethi %hi($refs), %v1
    point arithmetically. The state byte (0 or 1) scales a pc-relative
    offset; no cc-setting instruction executes, and the handler is also
    cc-transparent. *)
-let test_cc_live ea_asm =
-  ea_asm
-  ^ {|
+let test_cc_live =
+  {|
         srl %v0, 4, %v0
         sethi %hi($table), %v1
         or %v1, %lo($table), %v1
@@ -122,19 +123,6 @@ Lhit:   mov %v3, %o7
         add %v2, 1, %v2
         st %v2, [%v1 + %lo($refs)]
 |}
-
-(* effective-address computation for a memory instruction: the snippet runs
-   BEFORE the reference, when its address registers still hold their
-   values *)
-let ea_asm mach (i : Instr.t) =
-  match i.Instr.ea with
-  | Some (rs1, Instr.O_imm k) ->
-      Printf.sprintf "        add %s, %d, %%v0\n" (mach.Eel_arch.Machine.reg_name rs1) k
-  | Some (rs1, Instr.O_reg r2) ->
-      Printf.sprintf "        add %s, %s, %%v0\n"
-        (mach.Eel_arch.Machine.reg_name rs1)
-        (mach.Eel_arch.Machine.reg_name r2)
-  | None -> invalid_arg "amemory: not a memory instruction"
 
 let icc_reg = Eel_sparc.Regs.icc
 
@@ -160,6 +148,9 @@ let instrument ?(cc_optimization = true) mach exe =
       ("refs", ref_counter);
     ]
   in
+  let ea = Ea.word mach in
+  let cc_dead = Snippet.template mach ~params test_cc_dead in
+  let cc_live = Snippet.template mach ~params test_cc_live in
   let instrumented = ref 0 and skipped = ref 0 and cc_live_sites = ref 0 in
   let do_routine (r : E.routine) =
     let g = E.control_flow_graph t r in
@@ -176,29 +167,20 @@ let instrument ?(cc_optimization = true) mach exe =
                 if not b.C.editable then incr skipped
                 else (
                   let live_here = Eel.Dataflow.live_before live g b idx in
-                  let cc_live = Regset.mem icc_reg live_here in
                   let body =
-                    if cc_live && cc_optimization then (
+                    if Regset.mem icc_reg live_here && cc_optimization then (
                       incr cc_live_sites;
-                      test_cc_live (ea_asm mach i))
-                    else test_cc_dead (ea_asm mach i)
+                      cc_live)
+                    else cc_dead
                   in
-                  let s = Snippet.of_asm mach ~params body in
-                  Eel.Edit.add_before ed b idx s;
+                  Eel.Edit.add_before ed b idx
+                    (Snippet.of_template (Template.concat (ea i) body));
                   incr instrumented))
             b.C.instrs)
       (C.blocks g);
     E.produce_edited_routine t r
   in
-  List.iter do_routine (E.routines t);
-  let rec drain () =
-    match E.take_hidden t with
-    | Some r ->
-        do_routine r;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  E.iter_routines t do_routine;
   {
     edited = E.to_edited_sef t ();
     exec = t;

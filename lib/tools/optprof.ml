@@ -211,6 +211,7 @@ let instrument mach exe =
   let routines = ref [] in
   let n_counters = ref 0 in
   let n_edges = ref 0 in
+  let count_at = Qpt2.incr_count mach in
   let do_routine (r : E.routine) =
     let g = E.control_flow_graph t r in
     let ed = E.editor t r in
@@ -233,9 +234,7 @@ let instrument mach exe =
           if List.exists (fun c -> c.re_id = re.re_id) to_instrument then (
             let addr = E.reserve_data t 4 in
             incr n_counters;
-            Eel.Edit.add_along ed
-              (Option.get re.re_cfg)
-              (Qpt2.incr_count t.E.mach addr);
+            Eel.Edit.add_along ed (Option.get re.re_cfg) (count_at addr);
             { re with re_counter = Some addr })
           else re)
         edges
@@ -245,15 +244,7 @@ let instrument mach exe =
     (* CFGs are kept: reconstruction needs them *)
     routines := { rp_name = r.E.r_name; rp_cfg = g; rp_edges = edges; rp_naive = naive } :: !routines
   in
-  List.iter do_routine (E.routines t);
-  let rec drain () =
-    match E.take_hidden t with
-    | Some r ->
-        do_routine r;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  E.iter_routines t do_routine;
   {
     edited = E.to_edited_sef t ();
     exec = t;

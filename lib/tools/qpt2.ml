@@ -41,19 +41,26 @@ type t = {
           sums are lower bounds, not exact — excluded from cross-validation *)
 }
 
-(* paper Fig. 2: increment a counter word at a tool-chosen address *)
-let incr_count mach counter_addr =
-  Snippet.of_asm mach
-    ~params:[ ("counter", counter_addr) ]
-    {|
+(* paper Fig. 2, assembled once: [incr_count mach addr] increments the
+   counter word at [addr], patched into the sethi (word 0) and the %lo
+   fields of the ld and st (words 1 and 3) as paper Fig. 5 does *)
+let incr_count mach =
+  let body =
+    Snippet.template mach ~params:[ ("counter", 0) ]
+      {|
         sethi %hi($counter), %v0
         ld [%v0 + %lo($counter)], %v1
         add %v1, 1, %v1
         st %v1, [%v0 + %lo($counter)]
 |}
+  in
+  fun addr ->
+    let s = Snippet.patch_hi mach (Snippet.of_template body) 0 ~value:addr in
+    let s = Snippet.patch_lo mach s 1 ~value:addr in
+    Snippet.patch_lo mach s 3 ~value:addr
 
 (* paper Fig. 1: instrument one routine *)
-let instrument_routine t (r : E.routine) counters skipped skipped_blocks =
+let instrument_routine t count_at (r : E.routine) counters skipped skipped_blocks =
   let g = E.control_flow_graph t r in
   let ed = E.editor t r in
   List.iter
@@ -76,7 +83,7 @@ let instrument_routine t (r : E.routine) counters skipped skipped_blocks =
                   c_site_pc = site_pc;
                 }
                 :: !counters;
-              Eel.Edit.add_along ed e (incr_count t.E.mach addr))
+              Eel.Edit.add_along ed e (count_at addr))
             else (
               incr skipped;
               block_skipped := true))
@@ -94,14 +101,15 @@ let instrument ?(cache_instrs = true) ?(fold_delay = true) mach exe =
   let counters = ref [] in
   let skipped = ref 0 in
   let skipped_blocks = ref [] in
+  let count_at = incr_count mach in
   List.iter
-    (fun r -> instrument_routine t r counters skipped skipped_blocks)
+    (fun r -> instrument_routine t count_at r counters skipped skipped_blocks)
     (E.routines t);
   (* "while (!exec->hidden_routines()->is_empty()) ..." *)
   let rec drain () =
     match E.take_hidden t with
     | Some r ->
-        instrument_routine t r counters skipped skipped_blocks;
+        instrument_routine t count_at r counters skipped skipped_blocks;
         drain ()
     | None -> ()
   in

@@ -17,6 +17,7 @@ module E = Eel.Executable
 module C = Eel.Cfg
 module Snippet = Eel.Snippet
 module Instr = Eel_arch.Instr
+module Template = Eel_arch.Template
 open Eel_sparc
 
 type t = {
@@ -28,34 +29,28 @@ type t = {
   skipped_uneditable : int;
 }
 
-(* sandboxed replacement for a store: compute, mask, re-base, store.
-   %v0 = sandboxed address. The store's value register is site-specific. *)
-let guard_asm mach (i : Instr.t) ~seg_base ~seg_size =
-  let rn = mach.Eel_arch.Machine.reg_name in
-  let ea =
-    match i.Instr.ea with
-    | Some (rs1, Instr.O_imm k) -> Printf.sprintf "        add %s, %d, %%v0\n" (rn rs1) k
-    | Some (rs1, Instr.O_reg r2) ->
-        Printf.sprintf "        add %s, %s, %%v0\n" (rn rs1) (rn r2)
-    | None -> invalid_arg "sfi: not a memory instruction"
-  in
-  (* which store, and of what register? re-emit with the sandboxed base *)
-  let store =
+(* Sandboxes %v0, the store's effective address computed by the word
+   {!Ea.word} puts first: [%v0 := (%v0 & mask) | base]. *)
+let guard_body =
+  {|
+        sethi %hi($mask), %v1
+        or %v1, %lo($mask), %v1
+        and %v0, %v1, %v0
+        sethi %hi($base), %v1
+        or %v0, %v1, %v0
+|}
+
+(* [rebased_store mach] returns the function that re-emits a site's store
+   through the sandboxed address, [op rd, [%v0]]; the [%v0] hole is the
+   one the assembler records for [st %g0, [%v0]]. *)
+let rebased_store mach =
+  let hole = Snippet.template mach "st %g0, [%v0]" in
+  fun (i : Instr.t) ->
     match Insn.decode i.Instr.word with
     | Insn.Mem { op; rd; _ } when Insn.mem_is_store op ->
-        Printf.sprintf "        %s %s, [%%v0]\n" (Insn.mem_name op) (rn rd)
+        let word = Insn.encode (Insn.Mem { op; rs1 = 0; op2 = Insn.O_imm 0; rd }) in
+        { hole with Template.words = [| word |] }
     | _ -> invalid_arg "sfi: not a store"
-  in
-  ea
-  ^ Printf.sprintf
-      {|        sethi %%hi(%d), %%v1
-        or %%v1, %%lo(%d), %%v1
-        and %%v0, %%v1, %%v0
-        sethi %%hi(%d), %%v1
-        or %%v0, %%v1, %%v0
-|}
-      (seg_size - 1) (seg_size - 1) seg_base
-  ^ store
 
 (** [instrument mach exe ~seg_base ~seg_size] rewrites every editable store
     to stay within [seg_base, seg_base+seg_size). [seg_size] must be a
@@ -64,6 +59,12 @@ let instrument mach exe ~seg_base ~seg_size =
   if seg_size land (seg_size - 1) <> 0 then invalid_arg "sfi: size not a power of 2";
   if seg_base land (seg_size - 1) <> 0 then invalid_arg "sfi: base misaligned";
   let t = E.read_contents mach exe in
+  let ea = Ea.word mach and store = rebased_store mach in
+  let guard =
+    Snippet.template mach
+      ~params:[ ("mask", seg_size - 1); ("base", seg_base) ]
+      guard_body
+  in
   let guarded = ref 0 and skipped = ref 0 in
   let do_routine (r : E.routine) =
     let g = E.control_flow_graph t r in
@@ -76,21 +77,16 @@ let instrument mach exe ~seg_base ~seg_size =
               if i.Instr.cat = Instr.Store then
                 if not b.C.editable then incr skipped
                 else (
-                  let s =
-                    Snippet.of_asm mach (guard_asm mach i ~seg_base ~seg_size)
-                  in
-                  Eel.Edit.add_before ed b idx s;
+                  Eel.Edit.add_before ed b idx
+                    (Snippet.of_template
+                       Template.(concat (concat (ea i) guard) (store i)));
                   Eel.Edit.delete ed b idx;
                   incr guarded))
             b.C.instrs)
       (C.blocks g);
     E.produce_edited_routine t r
   in
-  List.iter do_routine (E.routines t);
-  let rec drain () =
-    match E.take_hidden t with Some r -> do_routine r; drain () | None -> ()
-  in
-  drain ();
+  E.iter_routines t do_routine;
   {
     edited = E.to_edited_sef t ();
     exec = t;

@@ -12,6 +12,7 @@ module E = Eel.Executable
 module C = Eel.Cfg
 module Snippet = Eel.Snippet
 module Instr = Eel_arch.Instr
+module Template = Eel_arch.Template
 
 type t = {
   edited : Eel_sef.Sef.t;
@@ -23,31 +24,23 @@ type t = {
   skipped_uneditable : int;
 }
 
-let trace_asm mach (i : Instr.t) ~buf ~ptr ~mask =
-  let rn = mach.Eel_arch.Machine.reg_name in
-  let ea =
-    match i.Instr.ea with
-    | Some (rs1, Instr.O_imm k) ->
-        Printf.sprintf "        add %s, %d, %%v0\n" (rn rs1) k
-    | Some (rs1, Instr.O_reg r2) ->
-        Printf.sprintf "        add %s, %s, %%v0\n" (rn rs1) (rn r2)
-    | None -> invalid_arg "tracer: not a memory instruction"
-  in
-  ea
-  ^ Printf.sprintf
-      {|        sethi %%hi(%d), %%v1
-        ld [%%v1 + %%lo(%d)], %%v2
-        sethi %%hi(%d), %%v3
-        or %%v3, %%lo(%d), %%v3
-        st %%v0, [%%v3 + %%v2]
-        add %%v2, 4, %%v2
-        sethi %%hi(%d), %%v3
-        or %%v3, %%lo(%d), %%v3
-        and %%v2, %%v3, %%v2
-        sethi %%hi(%d), %%v1
-        st %%v2, [%%v1 + %%lo(%d)]
+(* Appends %v0 (the site's effective address, computed by the word
+   {!Ea.word} puts first) to the buffer and advances the bump pointer,
+   wrapping it with [mask]. *)
+let trace_body =
+  {|
+        sethi %hi($ptr), %v1
+        ld [%v1 + %lo($ptr)], %v2
+        sethi %hi($buf), %v3
+        or %v3, %lo($buf), %v3
+        st %v0, [%v3 + %v2]
+        add %v2, 4, %v2
+        sethi %hi($mask), %v3
+        or %v3, %lo($mask), %v3
+        and %v2, %v3, %v2
+        sethi %hi($ptr), %v1
+        st %v2, [%v1 + %lo($ptr)]
 |}
-      ptr ptr buf buf mask mask ptr ptr
 
 (** [instrument mach exe] adds address tracing to every editable memory
     reference. [buf_size] must be a power of two (default 1 MiB). *)
@@ -56,6 +49,12 @@ let instrument ?(buf_size = 1 lsl 20) mach exe =
   let t = E.read_contents mach exe in
   let buf_addr = E.reserve_data t buf_size in
   let ptr_addr = E.reserve_data t 4 in
+  let ea = Ea.word mach in
+  let body =
+    Snippet.template mach
+      ~params:[ ("buf", buf_addr); ("ptr", ptr_addr); ("mask", buf_size - 1) ]
+      trace_body
+  in
   let instrumented = ref 0 and skipped = ref 0 in
   let do_routine (r : E.routine) =
     let g = E.control_flow_graph t r in
@@ -68,22 +67,14 @@ let instrument ?(buf_size = 1 lsl 20) mach exe =
               if Instr.is_memory i then
                 if not b.C.editable then incr skipped
                 else (
-                  let s =
-                    Snippet.of_asm mach
-                      (trace_asm mach i ~buf:buf_addr ~ptr:ptr_addr
-                         ~mask:(buf_size - 1))
-                  in
-                  Eel.Edit.add_before ed b idx s;
+                  Eel.Edit.add_before ed b idx
+                    (Snippet.of_template (Template.concat (ea i) body));
                   incr instrumented))
             b.C.instrs)
       (C.blocks g);
     E.produce_edited_routine t r
   in
-  List.iter do_routine (E.routines t);
-  let rec drain () =
-    match E.take_hidden t with Some r -> do_routine r; drain () | None -> ()
-  in
-  drain ();
+  E.iter_routines t do_routine;
   {
     edited = E.to_edited_sef t ();
     exec = t;

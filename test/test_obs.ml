@@ -744,7 +744,8 @@ let test_cli_traces_validate () =
     ]
 
 (* two inputs that share a file name are still two programs: the report
-   keeps a ledger row for each *)
+   keeps a ledger row for each, named by the path as given, and their
+   calling-context trees keep two flame roots *)
 let test_report_same_basename () =
   with_workload @@ fun dir _ ->
   let exe = assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) in
@@ -753,24 +754,44 @@ let test_report_same_basename () =
     Unix.mkdir d 0o700;
     let f = Filename.concat d "x.sef" in
     Sef.write_file f exe;
-    Filename.quote f
+    f
   in
+  let a = sef "a" and b = sef "b" in
   let json = Filename.concat dir "report.json" in
+  let flame = Filename.concat dir "report.flame" in
   let rc, _ =
     run_tool dir "eel_report"
       (String.concat " "
-         [ "--tool qpt2 --json"; Filename.quote json; sef "a"; sef "b" ])
+         (List.map Filename.quote
+            [ "--tool"; "qpt2"; "--json"; json; "--flame"; flame; a; b ]))
   in
   Alcotest.(check int) "eel_report exit" 0 rc;
-  let ic = open_in_bin json in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Json.parse text with
+  let read f =
+    let ic = open_in_bin f in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    text
+  in
+  let roots =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun l ->
+           if l = "" then None else Some (List.hd (String.split_on_char ';' l)))
+         (String.split_on_char '\n' (read flame)))
+  in
+  Alcotest.(check (list string)) "one flame root per input" [ a; b ] roots;
+  match Json.parse (read json) with
   | Ok report -> (
       match Json.member "ledger" report with
       | Some (Json.Arr rows) ->
-          Alcotest.(check int) "one ledger entry per input" 2
-            (List.length rows)
+          Alcotest.(check (list string))
+            "ledger progs are the paths as given" [ a; b ]
+            (List.map
+               (fun row ->
+                 match Json.member "prog" row with
+                 | Some (Json.Str p) -> p
+                 | _ -> Alcotest.fail "ledger row has no prog")
+               rows)
       | _ -> Alcotest.fail "report has no ledger array")
   | Error m -> Alcotest.failf "report json invalid: %s" m
 

@@ -501,7 +501,11 @@ let test_outcome_codec () =
     "no proper prefix decodes" []
     (List.filter
        (fun n -> decode (String.sub blob 0 n) <> None)
-       (List.init (String.length blob) Fun.id))
+       (List.init (String.length blob) Fun.id));
+  (* le_unexplained is a signed difference: a negative one survives *)
+  let o = { o with Serve.o_entry = { entry with le_unexplained = -1 } } in
+  check_bool "negative unexplained round-trips" true
+    (decode (Serve.encode_outcome o) = Some o)
 
 (* ---------------- protocol ---------------- *)
 

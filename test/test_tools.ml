@@ -460,6 +460,139 @@ let test_optprof_under_contract_oracle () =
         (er.Eel_diffexec.Diffexec.er_masked > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Once-assembled templates, filled per site, equal the assembler      *)
+(* ------------------------------------------------------------------ *)
+
+(* Each tool assembles its snippet body once and fills per-site holes. The
+   per-site assembly text the tools used to build lives on here only, as
+   the reference: both forms are instantiated under the same live sets
+   (nothing live; every allocatable register live, so the allocator
+   spills) and must give the same words and relocations. *)
+module Snippet = Eel.Snippet
+module Template = Eel_arch.Template
+module Regset = Eel_arch.Regset
+
+let reg = mach.Eel_arch.Machine.reg_name
+
+let ea_text = function
+  | Some (rs1, Insn.O_imm k) -> Printf.sprintf "        add %s, %d, %%v0\n" (reg rs1) k
+  | Some (rs1, Insn.O_reg r2) ->
+      Printf.sprintf "        add %s, %s, %%v0\n" (reg rs1) (reg r2)
+  | None -> Alcotest.fail "not a memory instruction"
+
+let load rs1 op2 =
+  mach.Eel_arch.Machine.lift (Insn.encode (Insn.Mem { op = Insn.Ld; rs1; op2; rd = 8 }))
+
+(* the cases where [filled] and [text] instantiate differently *)
+let differing cases =
+  List.concat_map
+    (fun (what, filled, text) ->
+      List.filter_map
+        (fun live ->
+          let a = Snippet.instantiate mach filled ~live
+          and b = Snippet.instantiate mach text ~live in
+          if a.Snippet.in_words = b.Snippet.in_words
+             && a.Snippet.in_relocs = b.Snippet.in_relocs
+          then None
+          else Some what)
+        [ Regset.empty; mach.Eel_arch.Machine.allocatable ])
+    cases
+
+let test_template_ea () =
+  let ea = Eel_tools.Ea.word mach in
+  let op2s =
+    List.map (fun k -> Insn.O_imm k) [ -4096; -1; 0; 1; 4095 ]
+    @ List.init 32 (fun r -> Insn.O_reg r)
+  in
+  let cases =
+    List.concat_map
+      (fun rs1 ->
+        List.map
+          (fun op2 ->
+            let i = load rs1 op2 in
+            let text = ea_text i.Eel_arch.Instr.ea in
+            (text, Snippet.of_template (ea i), Snippet.of_asm mach text))
+          op2s)
+      (List.init 32 Fun.id)
+  in
+  Alcotest.(check int) "cases" (32 * 37) (List.length cases);
+  Alcotest.(check (list string)) "ea words differ" [] (differing cases)
+
+let test_template_counter () =
+  let count_at = Qpt2.incr_count mach in
+  let st = Random.State.make [| 19 |] in
+  let cases =
+    List.init 1000 (fun _ ->
+        let addr = Random.State.full_int st (1 lsl 32) in
+        ( Printf.sprintf "counter 0x%x" addr,
+          count_at addr,
+          Snippet.of_asm mach
+            ~params:[ ("counter", addr) ]
+            {|
+        sethi %hi($counter), %v0
+        ld [%v0 + %lo($counter)], %v1
+        add %v1, 1, %v1
+        st %v1, [%v0 + %lo($counter)]
+|} ))
+  in
+  Alcotest.(check (list string)) "counter words differ" [] (differing cases)
+
+let test_template_store () =
+  let store = Sfi.rebased_store mach in
+  let cases =
+    List.concat_map
+      (fun op ->
+        (* std names an even register pair; an odd rd does not decode *)
+        List.filter_map
+          (fun rd ->
+            if op = Insn.Std && rd land 1 = 1 then None
+            else
+              let i =
+                mach.Eel_arch.Machine.lift
+                  (Insn.encode (Insn.Mem { op; rs1 = 9; op2 = Insn.O_imm 4; rd }))
+              in
+              let text =
+                Printf.sprintf "        %s %s, [%%v0]\n" (Insn.mem_name op) (reg rd)
+              in
+              Some (text, Snippet.of_template (store i), Snippet.of_asm mach text))
+          (List.init 32 Fun.id))
+      [ Insn.St; Insn.Stb; Insn.Sth; Insn.Std ]
+  in
+  Alcotest.(check int) "cases" ((3 * 32) + 16) (List.length cases);
+  Alcotest.(check (list string)) "re-based stores differ" [] (differing cases)
+
+let test_template_bodies () =
+  let ea = Eel_tools.Ea.word mach in
+  let params =
+    [ ("table", 0x12340); ("mbox", 0x56780); ("handler", 0x2000); ("refs", 0x9abc0) ]
+  in
+  let sites =
+    [ load 14 (Insn.O_imm (-8)); load 1 (Insn.O_reg 2); load 30 (Insn.O_imm 4095) ]
+  in
+  let cases =
+    List.concat_map
+      (fun (name, body) ->
+        List.map
+          (fun i ->
+            let filled =
+              Snippet.of_template
+                (Template.concat (ea i) (Snippet.template mach ~params body))
+            and text =
+              Snippet.of_asm mach ~params (ea_text i.Eel_arch.Instr.ea ^ body)
+            in
+            Alcotest.(check (list int))
+              (name ^ ": calls the handler")
+              [ 0x2000 ]
+              (List.map
+                 (fun (r : Template.reloc) -> r.Template.target)
+                 filled.Snippet.sn_template.Template.relocs);
+            (name ^ " " ^ ea_text i.Eel_arch.Instr.ea, filled, text))
+          sites)
+      [ ("cc-dead", Amemory.test_cc_dead); ("cc-live", Amemory.test_cc_live) ]
+  in
+  Alcotest.(check (list string)) "amemory tests differ" [] (differing cases)
+
+(* ------------------------------------------------------------------ *)
 (* Edited-image golden digests                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -510,6 +643,13 @@ let () =
   Alcotest.run "tools"
     (main_suites
     @ [
+        ( "templates",
+          [
+            Alcotest.test_case "ea word" `Quick test_template_ea;
+            Alcotest.test_case "qpt2 counter" `Quick test_template_counter;
+            Alcotest.test_case "sfi re-based store" `Quick test_template_store;
+            Alcotest.test_case "amemory tests" `Quick test_template_bodies;
+          ] );
         ( "golden",
           [ Alcotest.test_case "edited-image digests" `Quick test_golden_digests ]
         );
