@@ -296,7 +296,7 @@ let sites (t : inst) cls : string list =
   | Stray_store | Clobber_reg | Redzone_spill | Wild_trap -> trap_sites ()
   | Count_skew ->
       take max_sites
-        (List.map (fun (label, _, _) -> label) t.i_ap.Toolbox.ap_targets)
+        (List.map (fun (label, _, _) -> label) (t.i_ap.Toolbox.ap_targets ()))
   | Drop_syscall ->
       List.map
         (fun (epc, num) ->
@@ -393,7 +393,7 @@ let arm (t : inst) cls idxs : armed =
       in
       { base with a_contract = c }
   | Count_skew ->
-      let targets = take max_sites t.i_ap.Toolbox.ap_targets in
+      let targets = take max_sites (t.i_ap.Toolbox.ap_targets ()) in
       let pokes =
         List.map
           (fun i ->

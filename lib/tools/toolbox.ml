@@ -22,10 +22,11 @@ type applied = {
       (** original instruction address → its edited location; the
           fault-injection campaign uses it to overwrite the edited form of
           an instruction the original run is known to execute *)
-  ap_targets : (string * int * int) list;
+  ap_targets : unit -> (string * int * int) list;
       (** (label, word address, skew value): instrumentation words whose
           corruption the tool's own contract checks are guaranteed to
-          catch — the count-skew fault class's menu *)
+          catch — the count-skew fault class's menu. Built on demand:
+          only the fault campaign reads it, and it labels every counter *)
   ap_growth : (string * int * int) list;
       (** per-routine static cost, [(name, original bytes, edited bytes)]
           ({!E.edited_growth}); empty for tools with no EEL placement
@@ -35,7 +36,7 @@ type applied = {
 (** Tool names {!apply} accepts, in presentation order. *)
 let names = [ "qpt2"; "oldqpt"; "tracer"; "sfi"; "amemory"; "optprof" ]
 
-let of_exec ?(targets = []) tool (exec : E.t) edited contract sites =
+let of_exec ?(targets = fun () -> []) tool (exec : E.t) edited contract sites =
   {
     ap_tool = tool;
     ap_edited = edited;
@@ -66,7 +67,7 @@ let apply ?(sfi_base = 0) ?(sfi_size = 1 lsl 26) name mach exe :
       Ok
         (of_exec "qpt2" p.Qpt2.exec p.Qpt2.edited (Qpt2.contract p)
            (List.length p.Qpt2.counters)
-           ~targets:(Qpt2.fault_targets p))
+           ~targets:(fun () -> Qpt2.fault_targets p))
   | "oldqpt" ->
       let p = Oldqpt.instrument exe in
       (* oldqpt is not EEL-based: no Executable.t to anchor blocks or map
@@ -85,7 +86,7 @@ let apply ?(sfi_base = 0) ?(sfi_size = 1 lsl 26) name mach exe :
           ap_block_of = (fun _ -> None);
           ap_sites = List.length p.Oldqpt.counters;
           ap_edited_addr = (fun a -> Hashtbl.find_opt fwd a);
-          ap_targets = Oldqpt.fault_targets p;
+          ap_targets = (fun () -> Oldqpt.fault_targets p);
           ap_growth = [];
         }
   | "tracer" ->
@@ -93,24 +94,24 @@ let apply ?(sfi_base = 0) ?(sfi_size = 1 lsl 26) name mach exe :
       Ok
         (of_exec "tracer" p.Tracer.exec p.Tracer.edited (Tracer.contract p)
            p.Tracer.instrumented
-           ~targets:(Tracer.fault_targets p))
+           ~targets:(fun () -> Tracer.fault_targets p))
   | "sfi" ->
       let p = Sfi.instrument mach exe ~seg_base:sfi_base ~seg_size:sfi_size in
       Ok
         (of_exec "sfi" p.Sfi.exec p.Sfi.edited (Sfi.contract p) p.Sfi.guarded
-           ~targets:(Sfi.fault_targets p))
+           ~targets:(fun () -> Sfi.fault_targets p))
   | "amemory" ->
       let p = Amemory.instrument mach exe in
       Ok
         (of_exec "amemory" p.Amemory.exec p.Amemory.edited
            (Amemory.contract p) p.Amemory.instrumented
-           ~targets:(Amemory.fault_targets p))
+           ~targets:(fun () -> Amemory.fault_targets p))
   | "optprof" ->
       let p = Optprof.instrument mach exe in
       Ok
         (of_exec "optprof" p.Optprof.exec p.Optprof.edited
            (Optprof.contract p) p.Optprof.n_counters
-           ~targets:(Optprof.fault_targets p))
+           ~targets:(fun () -> Optprof.fault_targets p))
   | _ ->
       Error
         (Printf.sprintf "unknown tool %s (expected one of: %s)" name
