@@ -102,6 +102,7 @@ let () =
   let service = Cli.Service.create () in
   Cli.main "eel_batch"
     ~usage:"eel_batch [options]  -- run a deterministic mixed job corpus through the service"
+    ~metrics:(Cli.Stdout [ "emu.tier2" ])
     ([
        ("--gen", Arg.Set_int count, "N number of jobs in the corpus (default 100)");
        ("--seed", Arg.Set_int seed, "S corpus mix seed (default 42)");

@@ -79,7 +79,7 @@ let () =
       "eel_report [--tool NAME] [FILE.sef ...]: hot-path attribution + \
        instrumentation-overhead report (default: built-in corpus)"
     ~anon:(fun f -> files := f :: !files)
-    ~trace:true ~pool:true
+    ~trace:true ~pool:true ~metrics:(Cli.Stdout [ "emu.tier2" ])
     [
       ( "--fuel",
         Arg.Set_int fuel,

@@ -57,6 +57,9 @@ type editor = {
           [i]; gap [length instrs] is the point before the terminator *)
   edge_code : (int, Snippet.t list ref) Hashtbl.t;  (** eid -> snippets *)
   deleted : (int * int, unit) Hashtbl.t;
+  live : Dataflow.live Lazy.t;
+      (** register liveness over [g], computed once on first use: by a
+          tool choosing a snippet, or by {!produce} *)
   mutable n_snippets : int;
   mutable n_spilled : int;
 }
@@ -71,9 +74,14 @@ let create ?(fold_delay = true) ?max_span ~xlat_delta (g : C.t) =
     gaps = Hashtbl.create 32;
     edge_code = Hashtbl.create 16;
     deleted = Hashtbl.create 8;
+    live = lazy (Dataflow.liveness g);
     n_snippets = 0;
     n_spilled = 0;
   }
+
+(** Register liveness over the editor's CFG, shared with {!produce}. Edits
+    do not change the CFG it is computed over. *)
+let liveness ed = Lazy.force ed.live
 
 let check_block_editable (b : C.block) =
   if not b.C.editable then err "block %d is not editable" b.C.bid;
@@ -545,7 +553,7 @@ let emit_block em (b : C.block) ~next =
 (** [produce ed] lays out the edited routine (paper §3.3.1). *)
 let produce (ed : editor) : edited =
   let g = ed.g in
-  let live = Dataflow.liveness g in
+  let live = liveness ed in
   let em =
     {
       e = ed;

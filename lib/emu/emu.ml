@@ -192,7 +192,16 @@ type cct = {
   cc_children : (int, cct) Hashtbl.t;  (** callee entry pc -> context *)
 }
 
-type cframe = { cf_node : cct; cf_ret : int (* expected return address *) }
+(** A shadow-stack frame, pushed when a call arrives: the caller's
+    context, the return address it expects, and the context the call
+    entered. The stack alone therefore determines the current context
+    (the top frame's callee, or the root) and the depth. *)
+type cframe = {
+  cf_node : cct;  (** the caller's context *)
+  cf_ret : int;  (** expected return address *)
+  cf_callee : cct;  (** the context the call entered *)
+  cf_depth : int;  (** stack depth with this frame pushed *)
+}
 
 type profile = {
   mutable p_insns : int;  (** fuel consumed (dynamic instructions) *)
@@ -203,7 +212,9 @@ type profile = {
   mutable p_last_pc : int;
   p_root : cct;  (** calling-context tree root (the entry routine) *)
   mutable p_cur : cct;  (** context currently executing *)
-  mutable p_stack : cframe list;  (** shadow call stack (callers of cur) *)
+  mutable p_stack : cframe list;
+      (** shadow call stack (callers of cur); [p_cur] and [p_depth] are
+          what it determines (see {!cframe}) *)
   mutable p_depth : int;
   mutable p_pending_call : int;
       (** return address of a just-executed call, [min_int] when none; the
@@ -255,49 +266,78 @@ let max_cct_depth = 512
    arriving instruction is at most the second one recorded after it. *)
 let pending_live p = p.p_insns - p.p_pending_at <= 1
 
+(** The context a shadow stack determines: its top frame's callee, or
+    the root when empty. *)
+let stack_cur p = function fr :: _ -> fr.cf_callee | [] -> p.p_root
+
+let stack_depth = function fr :: _ -> fr.cf_depth | [] -> 0
+
+(* The stack below the frame expecting return address [pc], or [stk]
+   itself when no frame does; unwinding through intermediate frames
+   handles tail-call escapes, and a return to an address no frame
+   expects (e.g. a computed jump) pops nothing. *)
+let rec popped pc stk = function
+  | fr :: rest -> if fr.cf_ret = pc then rest else popped pc stk rest
+  | [] -> stk
+
+(** [arrive_on p pc stk] is the calling-context rule of a non-sequential
+    arrival at [pc] on the shadow stack [stk]: it clears the pending
+    transfer and returns the stack the arrival leaves.
+    A live pending call under {!max_cct_depth} pushes the caller's frame
+    and enters the caller's child context for [pc]; a live pending
+    return pops to the frame expecting [pc]; a live call at the cap
+    attributes the callee to the capped context (no push, and no pop
+    either); anything else leaves [stk]. The profile's own [p_stack],
+    [p_cur] and [p_depth] are not touched: {!profile_arrive} applies the
+    rule to them, and the tier-2 engine to a stack it carries. *)
+let arrive_on p pc stk =
+  let live = pending_live p in
+  let stk' =
+    if p.p_pending_call <> min_int then
+      if live && stack_depth stk < max_cct_depth then begin
+        let cur = stack_cur p stk in
+        let child =
+          match Hashtbl.find_opt cur.cc_children pc with
+          | Some c -> c
+          | None ->
+              let c = new_cct pc in
+              Hashtbl.add cur.cc_children pc c;
+              c
+        in
+        {
+          cf_node = cur;
+          cf_ret = p.p_pending_call;
+          cf_callee = child;
+          cf_depth = stack_depth stk + 1;
+        }
+        :: stk
+      end
+      else stk
+    else if p.p_pending_ret && live then popped pc stk stk
+    else stk
+  in
+  p.p_pending_call <- min_int;
+  p.p_pending_ret <- false;
+  stk'
+
+(** Make [stk] the profile's shadow stack, with the context and depth it
+    determines. *)
+let set_stack p stk =
+  if stk != p.p_stack then begin
+    p.p_stack <- stk;
+    p.p_cur <- stack_cur p stk;
+    p.p_depth <- stack_depth stk
+  end
+
 (** The arrival part of {!profile_step}: the next instruction to be
     recorded, at [pc], was reached non-sequentially. Counts the block
-    entry and moves the calling context — a live pending call descends
-    into [pc]'s context, a live pending return unwinds to the frame
-    expecting [pc] — then clears the pending transfer. The per-leader
-    count in [p_block_counts] is the caller's: tier-2 keeps one per
-    compiled block and folds it in later. *)
+    entry and moves the calling context by {!arrive_on}, the one copy of
+    the calling-context rules. The per-leader count in [p_block_counts]
+    is the caller's: tier-2 keeps one per compiled block and folds it in
+    later. *)
 let profile_arrive p pc =
   p.p_block_entries <- p.p_block_entries + 1;
-  if p.p_pending_call <> min_int && pending_live p then begin
-    if p.p_depth < max_cct_depth then begin
-      let child =
-        match Hashtbl.find_opt p.p_cur.cc_children pc with
-        | Some c -> c
-        | None ->
-            let c = new_cct pc in
-            Hashtbl.add p.p_cur.cc_children pc c;
-            c
-      in
-      p.p_stack <- { cf_node = p.p_cur; cf_ret = p.p_pending_call } :: p.p_stack;
-      p.p_depth <- p.p_depth + 1;
-      p.p_cur <- child
-    end
-  end
-  else if p.p_pending_ret && pending_live p then begin
-    (* pop to the frame expecting this return address; unwinding through
-       intermediate frames handles tail-call escapes, and a return to an
-       address no frame expects (e.g. a computed jump) pops nothing *)
-    let rec unwind stack depth =
-      match stack with
-      | fr :: rest when fr.cf_ret = pc -> Some (fr.cf_node, rest, depth - 1)
-      | _ :: rest -> unwind rest (depth - 1)
-      | [] -> None
-    in
-    match unwind p.p_stack p.p_depth with
-    | Some (node, rest, depth) ->
-        p.p_cur <- node;
-        p.p_stack <- rest;
-        p.p_depth <- depth
-    | None -> ()
-  end;
-  p.p_pending_call <- min_int;
-  p.p_pending_ret <- false
+  set_stack p (arrive_on p pc p.p_stack)
 
 (** What a recorded instruction arms for the next arrival: a call, or a
     call through a register (jmpl leaving the return address in %o7/%i7),

@@ -54,13 +54,29 @@
     block's instructions are sequential, so only its first can be a block
     entry, and each exit path runs a prefix of its words. {!compile}
     summarizes every path once (length, class mix from {!Emu.iclass_of},
-    the call or return its terminator arms) with a run counter. At each
-    block exit the chain driver runs {!Emu.profile_arrive} for a
-    non-sequential entry, adds the path to the current calling context
-    and bumps the path's counter; per-pc, per-block and class counts are
-    folded into the profile's tables when {!run} returns or raises and
-    when a block is killed. An OSR deopt replays {!Emu.profile_step} over
-    the prefix of the block that ran.
+    the call or return its terminator arms). A profiled run chains
+    blocks through its own driver, which carries the profile's
+    calling-context state — the last pc, the path whose call or return
+    has not armed yet, and the shadow stack with its context — instead
+    of storing it at every exit, and hands it back ({!settle}) whenever
+    control leaves: before an OSR replay and when the chain ends. A
+    block exit then costs about one counter increment:
+
+    - {b per-(context, path) run counters} — each path counts its runs
+      for the context it last ran in. A run in another context first
+      adds the count to the old one. Self counts and class mixes of the
+      calling-context tree, and the per-pc, per-block and class tables,
+      are derived from these counters when the profile is folded: when
+      {!run} returns or raises and when a block is killed;
+    - {b a cached calling context} — the arrival right after a call or
+      return path replays what that path did last time from the same
+      shadow stack (a one-entry cache on the calling path for a call, on
+      the block returned to for a return). A miss runs tier-1's rules:
+      {!Emu.profile_arm}, then {!Emu.arrive_on}, the one copy of the
+      calling-context rules.
+
+    An OSR deopt replays {!Emu.profile_step} over the prefix of the block
+    that ran.
 
     {2 Code cache}
 
@@ -98,6 +114,7 @@ type cblock = {
           annulling branch) the one that skips the delay slot *)
   mutable cb_arrivals : int;
       (** profiled non-sequential entries not yet folded *)
+  cb_tx : tx;  (** the context cache of returns arriving here *)
 }
 
 (** One exit path of a compiled block, summarized for the profile: the
@@ -107,8 +124,32 @@ and path = {
   pa_last : int;  (** pc of the path's last instruction *)
   pa_mix : int array;  (** [class; count] pairs, flattened *)
   pa_arm : Emu.arm;  (** what the path's control transfer arms *)
-  pa_arm_idx : int;  (** block index of that transfer *)
-  mutable pa_runs : int;  (** profiled runs not yet folded *)
+  pa_arm_pc : int;  (** pc of that transfer *)
+  pa_arm_at : int;  (** its position on the path, counting from 1 *)
+  mutable pa_runs : int;
+      (** profiled runs not yet folded into the pc and class tables *)
+  mutable pa_cc : Emu.cct;  (** the context of the runs in [pa_cc_runs] *)
+  mutable pa_cc_runs : int;  (** runs not yet added to [pa_cc] *)
+  pa_tx : tx;  (** the context cache of the call this path makes *)
+}
+
+(** A one-entry context cache: the last arrival at [tx_pc] right after a
+    run of the call or return path [tx_via], on the shadow stack
+    [tx_from] and with [tx_call]/[tx_ret] pending before the path armed,
+    left the stack [tx_to], whose context is [tx_cur]. That outcome is
+    {!Emu.profile_arm}'s and {!Emu.arrive_on}'s, computed on the miss
+    that filled the entry; those five are all it depends on, so a hit
+    replays it. A call's outcome is cached on the calling path, a
+    return's on the block it lands in, so a routine called from many
+    sites hits on every site. *)
+and tx = {
+  mutable tx_via : path;
+  mutable tx_pc : int;
+  mutable tx_call : int;
+  mutable tx_ret : bool;
+  mutable tx_from : Emu.cframe list;
+  mutable tx_to : Emu.cframe list;
+  mutable tx_cur : Emu.cct;
 }
 
 (** Per-entry-pc compilation state. [Cold] counts non-sequential arrivals
@@ -146,6 +187,11 @@ type t = {
   mutable t2_fuel_exits : int;
   mutable t2_block_runs : int;
   mutable t2_interp_steps : int;
+  mutable t2_prof_exits : int;  (** block exits the profile counted *)
+  mutable t2_ctx_misses : int;
+      (** call and return arrivals the context cache did not hold *)
+  mutable t2_cc_flushes : int;
+      (** path runs in another context than the path's previous run *)
 }
 
 (** Longest compiled block body (straight-line instructions before the
@@ -899,6 +945,40 @@ let cover_add st wa cb =
   | Some l -> l := cb :: !l
   | None -> Hashtbl.add st.t2_cover wa (ref [ cb ])
 
+(* A context no profile's tree holds: the key of an empty per-context
+   counter. *)
+let no_cct = Emu.new_cct min_int
+
+(* A path no profiled run took: what the profiled chain driver carries
+   when no path of its own armed a call or return (any pending transfer
+   is then in the profile), and the key of an empty context cache. *)
+let rec no_path =
+  {
+    pa_len = 0;
+    pa_last = min_int;
+    pa_mix = [||];
+    pa_arm = Emu.No_arm;
+    pa_arm_pc = 0;
+    pa_arm_at = 0;
+    pa_runs = 0;
+    pa_cc = no_cct;
+    pa_cc_runs = 0;
+    pa_tx = no_tx;
+  }
+
+and no_tx =
+  {
+    tx_via = no_path;
+    tx_pc = min_int;
+    tx_call = min_int;
+    tx_ret = false;
+    tx_from = [];
+    tx_to = [];
+    tx_cur = no_cct;
+  }
+
+let new_tx () = { no_tx with tx_via = no_path }
+
 (* The profile summary of the path through the first [len] of [words],
    a block entered at [pc]. *)
 let path_of pc (words : Insn.t array) len =
@@ -920,8 +1000,12 @@ let path_of pc (words : Insn.t array) len =
     pa_last = pc + ((len - 1) lsl 2);
     pa_mix = Array.of_list !mix;
     pa_arm = !arm;
-    pa_arm_idx = !arm_idx;
+    pa_arm_pc = pc + (!arm_idx lsl 2);
+    pa_arm_at = !arm_idx + 1;
     pa_runs = 0;
+    pa_cc = no_cct;
+    pa_cc_runs = 0;
+    pa_tx = (match !arm with Emu.Arm_call -> new_tx () | _ -> no_tx);
   }
 
 (* Compile the block at [pc] and register it in the cache. [None] when
@@ -949,6 +1033,7 @@ let compile st pc =
           cb_insns = words;
           cb_paths = Array.of_list (List.map (path_of pc words) paths);
           cb_arrivals = 0;
+          cb_tx = new_tx ();
           cb_entry = !entry;
           cb_taken = None;
           cb_fall = None;
@@ -974,27 +1059,32 @@ let add_mix classes mix times =
     classes.(k) <- classes.(k) + (times * mix.((2 * j) + 1))
   done
 
-(* Profile one completed run of [cb]. The instructions it retired are the
-   ones the profile has not recorded yet; their count names the path. The
-   arrival step runs first, as tier-1's would for a non-sequential entry,
-   so the path lands in the calling context it selects. *)
-let account st (p : Emu.profile) cb =
-  let before = p.Emu.p_insns in
-  let len = st.t2_emu.Emu.ninsns - st.t2_prof_off - before in
-  if cb.cb_pc <> p.Emu.p_last_pc + 4 then begin
-    cb.cb_arrivals <- cb.cb_arrivals + 1;
-    Emu.profile_arrive p cb.cb_pc
-  end;
-  let pa = cb.cb_paths.(cb.cb_len - len) in
-  pa.pa_runs <- pa.pa_runs + 1;
-  p.Emu.p_insns <- before + len;
-  p.Emu.p_last_pc <- pa.pa_last;
-  let cur = p.Emu.p_cur in
-  cur.Emu.cc_self <- cur.Emu.cc_self + len;
-  add_mix cur.Emu.cc_classes pa.pa_mix 1;
-  Emu.profile_arm p
-    ~pc:(cb.cb_pc + (pa.pa_arm_idx lsl 2))
-    ~at:(before + pa.pa_arm_idx + 1) pa.pa_arm
+(* Add the runs [pa] holds for its context to that context's self count
+   and class mix, and to the path's own count. *)
+let flush_cc pa =
+  let runs = pa.pa_cc_runs in
+  if runs > 0 then begin
+    let cc = pa.pa_cc in
+    cc.Emu.cc_self <- cc.Emu.cc_self + (runs * pa.pa_len);
+    add_mix cc.Emu.cc_classes pa.pa_mix runs;
+    pa.pa_runs <- pa.pa_runs + runs;
+    pa.pa_cc_runs <- 0
+  end
+
+(* Arm what [pa]'s transfer arms, for a run of it that started with
+   [before] instructions recorded. *)
+let arm (p : Emu.profile) pa before =
+  Emu.profile_arm p ~pc:pa.pa_arm_pc ~at:(before + pa.pa_arm_at) pa.pa_arm
+
+(* Leave the profile as tier-1 would have it after [insns] instructions,
+   the last at [last]: [pend], when it is not {!no_path}, is the path
+   that ran last, whose transfer has not armed yet; [stk] is the shadow
+   stack. *)
+let settle (p : Emu.profile) ~insns ~last pend stk =
+  if pend != no_path then arm p pend (insns - pend.pa_len);
+  p.Emu.p_insns <- insns;
+  p.Emu.p_last_pc <- last;
+  Emu.set_stack p stk
 
 (* An OSR transfer left [cb] part-way: replay tier-1's profile step over
    the prefix it retired. *)
@@ -1004,14 +1094,29 @@ let replay st (p : Emu.profile) cb =
     Emu.profile_step p ~pc:(cb.cb_pc + (i lsl 2)) cb.cb_insns.(i)
   done
 
-(* Fold [cb]'s unfolded counters into the profile's tables. *)
+(* Empty a context cache: its stacks belong to one profile. *)
+let tx_clear tx =
+  if tx.tx_via != no_path then begin
+    tx.tx_via <- no_path;
+    tx.tx_from <- [];
+    tx.tx_to <- [];
+    tx.tx_cur <- no_cct
+  end
+
+(* Fold [cb]'s unfolded counters into the profile: its paths' runs into
+   their contexts, then into the pc, leader and class tables. Its context
+   caches are emptied too. *)
 let fold (p : Emu.profile) cb =
+  tx_clear cb.cb_tx;
   if cb.cb_arrivals > 0 then begin
+    p.Emu.p_block_entries <- p.Emu.p_block_entries + cb.cb_arrivals;
     Emu.bump_by p.Emu.p_block_counts cb.cb_pc cb.cb_arrivals;
     cb.cb_arrivals <- 0
   end;
   Array.iter
     (fun pa ->
+      tx_clear pa.pa_tx;
+      flush_cc pa;
       let runs = pa.pa_runs in
       if runs > 0 then begin
         pa.pa_runs <- 0;
@@ -1106,45 +1211,151 @@ let resolve st pc =
           R_cold
         end
 
+(* The end of a chain: the successor slot when no compiled block may
+   run next. *)
+let rec no_block =
+  {
+    cb_pc = min_int;
+    cb_len = 0;
+    cb_entry = (fun () -> assert false);
+    cb_taken = None;
+    cb_fall = None;
+    cb_preds = [];
+    cb_dead = true;
+    cb_insns = [||];
+    cb_paths = [||];
+    cb_arrivals = 0;
+    cb_tx = no_tx;
+  }
+
+(* [nxt] if the fuel budget covers its worst case, else {!no_block} *)
+let[@inline] gate st fuel nxt =
+  if fuel - st.t2_emu.Emu.ninsns >= nxt.cb_len then nxt
+  else begin
+    st.t2_fuel_exits <- st.t2_fuel_exits + 1;
+    no_block
+  end
+
+(* The block to chain to after [cb] exited to [next], or {!no_block}.
+   Chain slots are installed on the static taken/fall-through edges
+   only; a dynamic (jmpl) successor is re-resolved every time. *)
+let[@inline] successor st fuel cb next =
+  match st.t2_exit with
+  | 0 | 1 -> (
+      let taken = st.t2_exit = 1 in
+      match if taken then cb.cb_taken else cb.cb_fall with
+      | Some nxt -> gate st fuel nxt
+      | None -> (
+          match resolve st next with
+          | R_run nxt ->
+              if taken then cb.cb_taken <- Some nxt else cb.cb_fall <- Some nxt;
+              nxt.cb_preds <- cb :: nxt.cb_preds;
+              st.t2_links <- st.t2_links + 1;
+              gate st fuel nxt
+          | _ -> no_block))
+  | 2 -> ( match resolve st next with R_run nxt -> gate st fuel nxt | _ -> no_block)
+  | _ -> no_block
+
 (* Run [cb] and keep chaining while successors are compiled and the fuel
-   budget covers their worst case. Chain slots are installed on the
-   static taken/fall-through edges only; a dynamic (jmpl) successor is
-   re-resolved every time. All recursive calls are tail calls. *)
+   budget covers their worst case. All recursive calls are tail calls. *)
 let rec chain st fuel cb =
-  let m = st.t2_emu in
   st.t2_block_runs <- st.t2_block_runs + 1;
   st.t2_cur_pc <- cb.cb_pc;
   match cb.cb_entry () with
-  | exception Deopt -> (
+  | exception Deopt -> st.t2_cur_pc <- -1
+  | next ->
       st.t2_cur_pc <- -1;
-      match st.t2_prof with None -> () | Some p -> replay st p cb)
-  | next -> (
+      let nxt = successor st fuel cb next in
+      if nxt != no_block then chain st fuel nxt
+
+(* The arrival step at [cb] right after a run of [pend], a call or return
+   path, that the context cache [tx] does not hold: arm, then
+   {!Emu.arrive_on}, and cache the outcome. *)
+let transfer st (p : Emu.profile) tx cb pend insns stk =
+  st.t2_ctx_misses <- st.t2_ctx_misses + 1;
+  tx.tx_call <- p.Emu.p_pending_call;
+  tx.tx_ret <- p.Emu.p_pending_ret;
+  arm p pend (insns - pend.pa_len);
+  p.Emu.p_insns <- insns;
+  let stk' = Emu.arrive_on p cb.cb_pc stk in
+  tx.tx_via <- pend;
+  tx.tx_pc <- cb.cb_pc;
+  tx.tx_from <- stk;
+  tx.tx_to <- stk';
+  tx.tx_cur <- Emu.stack_cur p stk';
+  stk'
+
+(* {!chain} keeping the profile [p]. The profile's calling-context state
+   rides along: [last] is the pc of the last instruction run, [pend] the
+   path that ran last if its transfer has not armed yet ({!no_path}
+   otherwise), [stk] the shadow stack and [cur] its context. Each exit
+   names its path by the instructions retired, takes the arrival step
+   and counts the run in the path's counter for [cur]. The arrival right
+   after a call or return path replays the outcome the context cache
+   holds for it, or runs {!transfer}. *)
+let rec chain_p st fuel (p : Emu.profile) cb last pend stk cur =
+  let m = st.t2_emu in
+  st.t2_block_runs <- st.t2_block_runs + 1;
+  st.t2_cur_pc <- cb.cb_pc;
+  let n0 = m.Emu.ninsns in
+  match cb.cb_entry () with
+  | exception Deopt ->
       st.t2_cur_pc <- -1;
-      (match st.t2_prof with None -> () | Some p -> account st p cb);
-      match st.t2_exit with
-      | 0 | 1 -> (
-          let taken = st.t2_exit = 1 in
-          match if taken then cb.cb_taken else cb.cb_fall with
-          | Some nxt ->
-              if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
-              else st.t2_fuel_exits <- st.t2_fuel_exits + 1
-          | None -> (
-              match resolve st next with
-              | R_run nxt ->
-                  if taken then cb.cb_taken <- Some nxt
-                  else cb.cb_fall <- Some nxt;
-                  nxt.cb_preds <- cb :: nxt.cb_preds;
-                  st.t2_links <- st.t2_links + 1;
-                  if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
-                  else st.t2_fuel_exits <- st.t2_fuel_exits + 1
-              | _ -> ()))
-      | 2 -> (
-          match resolve st next with
-          | R_run nxt ->
-              if fuel - m.Emu.ninsns >= nxt.cb_len then chain st fuel nxt
-              else st.t2_fuel_exits <- st.t2_fuel_exits + 1
-          | _ -> ())
-      | _ -> ())
+      settle p ~insns:(n0 - st.t2_prof_off) ~last pend stk;
+      replay st p cb
+  | next ->
+      st.t2_cur_pc <- -1;
+      let insns = n0 - st.t2_prof_off in
+      let pa = Array.unsafe_get cb.cb_paths (cb.cb_len - (m.Emu.ninsns - n0)) in
+      let stk = ref stk and cur = ref cur in
+      if cb.cb_pc = last + 4 then begin
+        if pend != no_path then arm p pend (insns - pend.pa_len)
+      end
+      else begin
+        cb.cb_arrivals <- cb.cb_arrivals + 1;
+        if pend == no_path then begin
+          if p.Emu.p_pending_call <> min_int || p.Emu.p_pending_ret then begin
+            p.Emu.p_insns <- insns;
+            let s = Emu.arrive_on p cb.cb_pc !stk in
+            if s != !stk then begin
+              stk := s;
+              cur := Emu.stack_cur p s
+            end
+          end
+        end
+        else begin
+          let tx = match pend.pa_arm with Emu.Arm_call -> pend.pa_tx | _ -> cb.cb_tx in
+          if
+            tx.tx_via == pend && tx.tx_pc = cb.cb_pc && tx.tx_from == !stk
+            && tx.tx_call = p.Emu.p_pending_call
+            && tx.tx_ret = p.Emu.p_pending_ret
+          then begin
+            (* what the arm and the arrival leave, as on the miss *)
+            p.Emu.p_pending_call <- min_int;
+            p.Emu.p_pending_ret <- false;
+            p.Emu.p_pending_at <- insns - pend.pa_len + pend.pa_arm_at;
+            stk := tx.tx_to;
+            cur := tx.tx_cur
+          end
+          else begin
+            let s = transfer st p tx cb pend insns !stk in
+            stk := s;
+            cur := tx.tx_cur
+          end
+        end
+      end;
+      let stk = !stk and cur = !cur in
+      if pa.pa_cc == cur then pa.pa_cc_runs <- pa.pa_cc_runs + 1
+      else begin
+        st.t2_cc_flushes <- st.t2_cc_flushes + 1;
+        flush_cc pa;
+        pa.pa_cc <- cur;
+        pa.pa_cc_runs <- 1
+      end;
+      let pend = match pa.pa_arm with Emu.No_arm -> no_path | _ -> pa in
+      let nxt = successor st fuel cb next in
+      if nxt != no_block then chain_p st fuel p nxt pa.pa_last pend stk cur
+      else settle p ~insns:(insns + pa.pa_len) ~last:pa.pa_last pend stk
 
 let deopts st = st.t2_fault_deopts + st.t2_store_deopts
 
@@ -1170,7 +1381,11 @@ let loop st fuel =
       match resolve st pc0 with
       | R_run cb when fuel - m.Emu.ninsns >= cb.cb_len ->
           let d0 = deopts st in
-          chain st fuel cb;
+          (match st.t2_prof with
+          | None -> chain st fuel cb
+          | Some p ->
+              chain_p st fuel p cb p.Emu.p_last_pc no_path p.Emu.p_stack
+                p.Emu.p_cur);
           (* chain exits at a block boundary: still an arrival. After an
              OSR transfer, though, the resumed pc must take at least one
              tier-1 step: a deopt-before cause (div-by-zero, a faulting
@@ -1210,6 +1425,9 @@ let counters st =
     ("fuel_exits", st.t2_fuel_exits);
     ("deopts.fault", st.t2_fault_deopts);
     ("deopts.self_store", st.t2_store_deopts);
+    ("profiled_exits", st.t2_prof_exits);
+    ("ctx_cache_misses", st.t2_ctx_misses);
+    ("path_flushes", st.t2_cc_flushes);
   ]
 
 (* The engine's entry ({!Emu.t}'s [alt_run]). However the loop ends, the
@@ -1220,12 +1438,16 @@ let run st fuel =
   st.t2_prof <- m.Emu.profile;
   Option.iter (fun p -> st.t2_prof_off <- m.Emu.ninsns - p.Emu.p_insns) st.t2_prof;
   let before = counters st in
+  let runs0 = st.t2_block_runs and deopts0 = deopts st in
   let finish () =
     Option.iter
       (fun p ->
         Hashtbl.iter
           (fun _ s -> match s with Compiled cb -> fold p cb | _ -> ())
-          st.t2_entries)
+          st.t2_entries;
+        (* every block run that did not deopt exited through the profile *)
+        st.t2_prof_exits <-
+          st.t2_prof_exits + (st.t2_block_runs - runs0) - (deopts st - deopts0))
       st.t2_prof;
     st.t2_prof <- None;
     List.iter2
@@ -1276,6 +1498,9 @@ let attach ?(threshold = default_threshold) (m : Emu.t) =
         t2_fuel_exits = 0;
         t2_block_runs = 0;
         t2_interp_steps = 0;
+        t2_prof_exits = 0;
+        t2_ctx_misses = 0;
+        t2_cc_flushes = 0;
       }
     in
     m.Emu.on_invalidate <- Some (invalidate st);

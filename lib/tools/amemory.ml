@@ -155,7 +155,7 @@ let instrument ?(cc_optimization = true) mach exe =
   let do_routine (r : E.routine) =
     let g = E.control_flow_graph t r in
     let ed = E.editor t r in
-    let live = Eel.Dataflow.liveness g in
+    let live = Eel.Edit.liveness ed in
     List.iter
       (fun (b : C.block) ->
         if b.C.reachable && (not b.C.is_data) && b.C.kind <> C.Entry

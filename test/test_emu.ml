@@ -1083,6 +1083,236 @@ Lbase:  retl
   Alcotest.(check int) "context tree capped" Emu.max_cct_depth
     (Profile_check.cct_depth (Emu.profile_cct (Option.get r.tr_profile)))
 
+(* ---- the profiled chain driver's fast path ----
+
+   A profiled chain carries the calling-context state between exits,
+   counts each path's runs per context, and replays call and return
+   outcomes from one-entry context caches. These programs aim at the
+   cases where that state has to fall back on, or be handed back to,
+   tier-1's rules; each must record tier-1's profile exactly. *)
+
+let tier2_counter name =
+  match Eel_obs.Metrics.find ("emu.tier2." ^ name) with
+  | Some (Eel_obs.Metrics.Int n) -> n
+  | _ -> 0
+
+(* [f] is called from one call site in R, and R alternately from A and
+   B: the call into f comes from the same path with a different shadow
+   stack every time, so its context cache must miss, and a cache that
+   ignored the caller's stack would file B's calls under A. *)
+let two_callers_src =
+  {|
+main:   mov 6, %l0
+Lloop:  call A
+        nop
+        call B
+        nop
+        subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+  ^ exit0
+  ^ {|
+A:      mov %o7, %l2
+        call R
+        add %l1, 1, %l1
+        jmp %l2 + 8
+        nop
+B:      mov %o7, %l3
+        call R
+        add %l1, 2, %l1
+        jmp %l3 + 8
+        nop
+R:      mov %o7, %l4
+        call f
+        nop
+        jmp %l4 + 8
+        nop
+f:      retl
+        add %l1, 10, %l1
+|}
+
+let test_tier_ctx_cache_miss () =
+  let misses = tier2_counter "ctx_cache_misses" in
+  let st = check_tiers_agree "two callers" two_callers_src in
+  Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
+  (* check_tiers_agree makes one profiled block-tier run: at least two
+     misses per iteration after the first (the call into f and the
+     return from it alternate stacks) *)
+  Alcotest.(check bool)
+    "the context cache missed" true
+    (tier2_counter "ctx_cache_misses" - misses >= 10);
+  let r = run_tier ~tier:Tier2.Block two_callers_src in
+  Alcotest.(check string) "output" "138\n" r.tr_out
+
+let test_tier_unusual_returns () =
+  (* a tail-call escape: U returns straight to A's caller, past T's
+     frame, so the arrival pops two frames; and a computed jump inside
+     a callee, which no frame expects, pops none *)
+  let escape_src =
+    {|
+main:   mov 5, %l0
+Lloop:  call T
+        nop
+        subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+T:      mov %o7, %l5
+        call U
+        add %l1, 1, %l1
+        add %l1, 100, %l1
+        retl
+        nop
+U:      jmp %l5 + 8
+        add %l1, 3, %l1
+|}
+  in
+  let computed_src =
+    {|
+main:   mov 5, %l0
+Lloop:  call J
+        nop
+        subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+J:      set Lin, %l6
+        jmp %l6
+        add %l1, 1, %l1
+        add %l1, 100, %l1
+Lin:    retl
+        add %l1, 5, %l1
+|}
+  in
+  List.iter
+    (fun (name, src, out) ->
+      let st = check_tiers_agree name src in
+      Alcotest.(check bool)
+        (name ^ ": compiled blocks ran")
+        true
+        (st.Tier2.st_block_runs > 0);
+      Alcotest.(check string)
+        (name ^ ": output")
+        out (run_tier ~tier:Tier2.Block src).tr_out)
+    [ ("tail-call escape", escape_src, "20\n"); ("computed jump", computed_src, "30\n") ]
+
+let test_tier_kill_in_context () =
+  (* W runs compiled in its own calling context, so its per-context
+     counts are unfolded when main stores W's first word back over
+     itself: the kill must fold them before the block goes *)
+  let src =
+    {|
+main:   mov 6, %l0
+        set W, %l2
+        ld [%l2], %l3
+Lloop:  call W
+        nop
+        cmp %l0, 3
+        bne Lskip
+        nop
+        st %l3, [%l2]
+Lskip:  subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+W:      add %l1, 1, %l1
+        add %l1, 2, %l1
+        retl
+        add %l1, 3, %l1
+|}
+  in
+  let st = check_tiers_agree "kill in a callee context" src in
+  Alcotest.(check bool) "W was killed" true (st.Tier2.st_invalidated >= 1);
+  Alcotest.(check bool)
+    "W recompiled" true
+    (st.Tier2.st_compiled > st.Tier2.st_live)
+
+let test_tier_deopt_in_context () =
+  (* D stores over its own second word each call, so the profiled chain
+     deopts in the middle of D with a call arrival and its new context
+     still carried by the driver: they must reach the profile before
+     tier-1 replays D's prefix *)
+  let src =
+    {|
+main:   mov 4, %l0
+        set Dself, %l2
+        ld [%l2], %l3
+Lloop:  call D
+        nop
+        subcc %l0, 1, %l0
+        bne Lloop
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+D:      st %l3, [%l2]
+Dself:  add %l1, 1, %l1
+        add %l1, 2, %l1
+        retl
+        nop
+|}
+  in
+  let st = check_tiers_agree "deopt in a callee context" src in
+  Alcotest.(check bool) "deopted" true (st.Tier2.st_deopts_store >= 1)
+
+let test_tier_recursion_twice () =
+  (* recursion past the depth cap from a compiled chain, twice: calls at
+     the cap push nothing, so the caches see the same stack again, and
+     the returns past the cap pop frames of shallower calls *)
+  let src =
+    {|
+main:   mov 2, %l0
+Lagain: mov 600, %o0
+        call rec
+        nop
+        add %l1, %o0, %l1
+        subcc %l0, 1, %l0
+        bne Lagain
+        nop
+        mov %l1, %o0
+        ta 2
+|}
+    ^ exit0
+    ^ {|
+rec:    cmp %o0, 0
+        be Lbase
+        nop
+        sub %sp, 8, %sp
+        st %o7, [%sp]
+        call rec
+        sub %o0, 1, %o0
+        ld [%sp], %o7
+        add %sp, 8, %sp
+        add %o0, 2, %o0
+        retl
+        nop
+Lbase:  retl
+        nop
+|}
+  in
+  let st = check_tiers_agree "recursion past the cap, twice" src in
+  Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
+  Alcotest.(check string)
+    "output" "2400\n"
+    (run_tier ~tier:Tier2.Block src).tr_out
+
 let test_tier_poke_never_fetched () =
   (* the poke lands while the loop runs, before Lcold (main+0x10) is
      first fetched: the predecode slot was never decoded, so the word
@@ -1184,5 +1414,15 @@ let () =
             test_tier_deep_recursion;
           Alcotest.test_case "poke into a never-fetched word" `Quick
             test_tier_poke_never_fetched;
+          Alcotest.test_case "context cache misses on another caller" `Quick
+            test_tier_ctx_cache_miss;
+          Alcotest.test_case "tail-call escape and computed jump" `Quick
+            test_tier_unusual_returns;
+          Alcotest.test_case "kill folds per-context counts" `Quick
+            test_tier_kill_in_context;
+          Alcotest.test_case "deopt hands the chain's context back" `Quick
+            test_tier_deopt_in_context;
+          Alcotest.test_case "recursion past the cap, twice" `Quick
+            test_tier_recursion_twice;
         ] );
     ]

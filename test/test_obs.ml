@@ -489,48 +489,111 @@ let test_trace_check_exports () =
 (* perf-regression gate                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The gate's decision is unit-tested on synthetic numbers: remeasuring
+   the machine within a tolerance made this test fail in a third to a
+   half of full runs. One subprocess run checks the binary itself. *)
+
+module Gate = Perf_gate
+
+let gate_base ?(block = Some 3.0) ?(cores = 2) ?(points = []) () =
+  {
+    Gate.b_cores = cores;
+    b_speedup = 2.0;
+    b_speedup_block = block;
+    b_mips_on = 40.;
+    b_points = points;
+  }
+
+let gate_fresh ~speedup ~block =
+  { Gate.f_speedup = speedup; f_speedup_block = block; f_mips_on = 40. }
+
 let test_perf_gate () =
+  let base = gate_base () in
+  let failures f = Gate.failures (Gate.throughput_checks ~tol:0.12 base f) in
+  (* a remeasure 5% below the baseline is inside the default gate *)
+  Alcotest.(check (list string))
+    "gate passes a remeasure inside the tolerance" []
+    (failures (gate_fresh ~speedup:1.9 ~block:2.85));
+  (* EEL_PERF_HANDICAP=1.35 multiplies the predecode time by 1.35: the
+     predecode speedup drops 26% and the block speedup rises *)
+  Alcotest.(check (list string))
+    "gate fails on seeded regression"
+    [ "throughput speedup vs baseline" ]
+    (failures (gate_fresh ~speedup:(2.0 /. 1.35) ~block:(3.0 *. 1.35)));
+  (* the binary: one gate run against a baseline every working tree
+     clears (both speedups 1.0, i.e. only the absolute invariants) exits
+     0 and appends one trajectory-history line *)
   let regress =
     Filename.concat (Filename.dirname Sys.executable_name)
       "../bench/regress.exe"
   in
   let base = Filename.temp_file "eel_perf" ".json" in
   let hist = Filename.temp_file "eel_perf" ".jsonl" in
-  let run env args =
-    Sys.command
-      (Printf.sprintf
-         "EEL_PERF_BUDGET=smoke EEL_PERF_HISTORY=%s %s %s %s > /dev/null 2>&1"
-         (Filename.quote hist) env
-         (Filename.quote regress)
-         args)
-  in
-  Alcotest.(check int) "baseline written" 0
-    (run "" (Printf.sprintf "--write-baseline %s" (Filename.quote base)));
-  (* unchanged tree: same-machine remeasure stays inside the tolerance *)
-  Alcotest.(check int) "gate passes on unchanged tree" 0
-    (run
-       (Printf.sprintf "EEL_PERF_BASELINE=%s EEL_REGRESS_TOL=0.18"
-          (Filename.quote base))
-       "");
-  (* a seeded 26% throughput regression must fail the default 12% gate *)
-  Alcotest.(check int) "gate fails on seeded regression" 1
-    (run
-       (Printf.sprintf "EEL_PERF_BASELINE=%s EEL_PERF_HANDICAP=1.35"
-          (Filename.quote base))
-       "");
-  (* every run appended one trajectory-history line *)
+  let oc = open_out base in
+  output_string oc
+    {|{"cores": 1, "throughput": {"speedup": 1.0, "speedup_block": 1.0, "predecode_on": {"mips": 1.0}}}|};
+  close_out oc;
+  Alcotest.(check int) "gate run exits 0" 0
+    (Sys.command
+       (Printf.sprintf
+          "EEL_PERF_BUDGET=smoke EEL_PERF_HISTORY=%s EEL_PERF_BASELINE=%s %s > /dev/null 2>&1"
+          (Filename.quote hist) (Filename.quote base) (Filename.quote regress)));
   let ic = open_in hist in
-  let lines = ref 0 in
+  let lines = ref [] in
   (try
      while true do
-       ignore (input_line ic);
-       incr lines
+       lines := input_line ic :: !lines
      done
    with End_of_file -> ());
   close_in ic;
-  Alcotest.(check int) "history lines" 2 !lines;
+  (match !lines with
+  | [ l ] -> (
+      match Json.parse l with
+      | Ok j ->
+          Alcotest.(check bool)
+            "history line records the pass" true
+            (Json.member "pass" j = Some (Json.Bool true))
+      | Error m -> Alcotest.failf "history line is not JSON: %s" m)
+  | ls -> Alcotest.failf "expected one history line, got %d" (List.length ls));
   Sys.remove base;
   Sys.remove hist
+
+let test_perf_gate_pre_block () =
+  let checks =
+    Gate.throughput_checks ~tol:0.12 (gate_base ~block:None ())
+      (gate_fresh ~speedup:2.0 ~block:1.5)
+  in
+  Alcotest.(check (list string)) "passes" [] (Gate.failures checks);
+  Alcotest.(check bool)
+    "tier-2 check skipped" true
+    (List.exists
+       (fun c ->
+         c.Gate.c_name = "tier-2 speedup vs baseline" && c.Gate.c_verdict = Gate.Skip)
+       checks)
+
+let test_perf_gate_scaling_skip () =
+  let point ?(contended = false) j s =
+    { Gate.bp_jobs = j; bp_speedup = s; bp_contended = contended }
+  in
+  let points = [ point 1 1.0; point 2 1.8 ] in
+  let skips ~cores base = Gate.scaling_skip ~cores ~skip:false base <> None in
+  Alcotest.(check bool)
+    "1-core machine skips" true
+    (skips ~cores:1 (gate_base ~points ()));
+  Alcotest.(check bool)
+    "1-core baseline skips" true
+    (skips ~cores:4 (gate_base ~cores:1 ~points ()));
+  Alcotest.(check bool)
+    "contended baseline skips" true
+    (skips ~cores:4 (gate_base ~cores:4 ~points:[ point 1 1.0; point ~contended:true 8 0.6 ] ()));
+  let base = gate_base ~cores:4 ~points () in
+  Alcotest.(check bool) "multicore baseline runs" false (skips ~cores:4 base);
+  Alcotest.(check (list int)) "sweeps the points that fit" [ 1; 2 ]
+    (Gate.scaling_jobs ~cores:4 base);
+  Alcotest.(check (list string))
+    "scaling within 25% passes, below fails"
+    [ "scaling speedup at 2 domains" ]
+    (Gate.failures (Gate.scaling_checks base [ (1, 0.9); (2, 1.3) ]))
 
 (* ------------------------------------------------------------------ *)
 (* eel_objdump --trace, end to end                                     *)
@@ -743,6 +806,42 @@ let test_cli_traces_validate () =
       ("eel_report", "--tool qpt2 " ^ sef);
     ]
 
+(* the oracle's runs in eel_report and eel_batch execute profiled on the
+   block tier: --metrics prints their emu.tier2.* counters on stdout *)
+let test_cli_tier2_metrics () =
+  with_workload @@ fun dir sef ->
+  let counters tool args =
+    let out = Filename.concat dir (tool ^ ".out") in
+    let rc =
+      Sys.command
+        (Printf.sprintf "%s --metrics %s < /dev/null > %s 2> /dev/null"
+           (Filename.quote (bin (tool ^ ".exe")))
+           args (Filename.quote out))
+    in
+    Alcotest.(check int) (tool ^ " --metrics: exit") 0 rc;
+    let ic = open_in_bin out in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    List.filter_map
+      (fun l -> Scanf.sscanf_opt l "emu.tier2.%s %d" (fun k v -> (k, v)))
+      (String.split_on_char '\n' text)
+  in
+  List.iter
+    (fun (tool, args) ->
+      let cs = counters tool args in
+      List.iter
+        (fun k ->
+          match List.assoc_opt k cs with
+          | Some n ->
+              Alcotest.(check bool) (Printf.sprintf "%s: %s > 0" tool k) true (n > 0)
+          | None -> Alcotest.failf "%s --metrics printed no emu.tier2.%s" tool k)
+        [ "block_runs"; "profiled_exits"; "path_flushes" ])
+    [
+      ("eel_report", "--tool qpt2 " ^ sef);
+      ( "eel_batch",
+        "--gen 6 --cache-dir " ^ Filename.quote (Filename.concat dir "cache") );
+    ]
+
 (* two inputs that share a file name are still two programs: the report
    keeps a ledger row for each, named by the path as given, and their
    calling-context trees keep two flame roots *)
@@ -841,6 +940,10 @@ let () =
         [
           Alcotest.test_case "pass, seeded regression, history" `Quick
             test_perf_gate;
+          Alcotest.test_case "baseline before the block tier skips its check"
+            `Quick test_perf_gate_pre_block;
+          Alcotest.test_case "1-core or contended baseline skips scaling"
+            `Quick test_perf_gate_scaling_skip;
         ] );
       ( "tools",
         [
@@ -853,5 +956,7 @@ let () =
             test_cli_traces_validate;
           Alcotest.test_case "eel_report keeps inputs that share a name"
             `Quick test_report_same_basename;
+          Alcotest.test_case "oracle runs print their tier-2 counters" `Quick
+            test_cli_tier2_metrics;
         ] );
     ]

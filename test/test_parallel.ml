@@ -63,6 +63,12 @@ let test_report () =
      fan-out *)
   check_jobs_invariant "report" "eel_report.exe" "--tool qpt2 --top 5 --json -"
 
+let test_report_metrics () =
+  (* the oracle runs' emu.tier2.* counters merge home at the pool joins:
+     the same totals at any domain count *)
+  check_jobs_invariant "report --metrics" "eel_report.exe"
+    "--tool qpt2 --top 5 --metrics"
+
 (* OS-mode workload generation (ISSUE 9): the same seed must yield a
    byte-identical SEF image whatever the fan-out — the generator is a pure
    function of the seed, and the OS world in its banner must match too *)
@@ -203,6 +209,7 @@ let () =
           Alcotest.test_case "tool-diff JSON report" `Quick test_diff_tool_json;
           Alcotest.test_case "tool-diff ledger metrics" `Quick test_diff_metrics;
           Alcotest.test_case "hotspot + overhead report" `Quick test_report;
+          Alcotest.test_case "report tier-2 counters" `Quick test_report_metrics;
           Alcotest.test_case "OS-mode workload SEF" `Quick test_workload_os_sef;
           Alcotest.test_case "OS jobs through eel_serve" `Quick
             test_serve_os_jobs;
