@@ -59,8 +59,9 @@
     calling-context state — the last pc, the path whose call or return
     has not armed yet, and the shadow stack with its context — instead
     of storing it at every exit, and hands it back ({!settle}) whenever
-    control leaves: before an OSR replay and when the chain ends. A
-    block exit then costs about one counter increment:
+    control leaves: before an OSR replay and when the chain ends. In
+    the steady state a block exit then bumps one counter, after a cache
+    check when it follows a call or return:
 
     - {b per-(context, path) run counters} — each path counts its runs
       for the context it last ran in. A run in another context first
