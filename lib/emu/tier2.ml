@@ -59,9 +59,8 @@
     calling-context state — the last pc, the path whose call or return
     has not armed yet, and the shadow stack with its context — instead
     of storing it at every exit, and hands it back ({!settle}) whenever
-    control leaves: before an OSR replay and when the chain ends. In
-    the steady state a block exit then bumps one counter, after a cache
-    check when it follows a call or return:
+    control leaves: before an OSR replay and when the chain ends. A
+    block exit then costs about one counter increment:
 
     - {b per-(context, path) run counters} — each path counts its runs
       for the context it last ran in. A run in another context first
@@ -71,8 +70,9 @@
       {!run} returns or raises and when a block is killed;
     - {b a cached calling context} — the arrival right after a call or
       return path replays what that path did last time from the same
-      shadow stack (a one-entry cache on the calling path for a call, on
-      the block returned to for a return). A miss runs tier-1's rules:
+      shadow stack (a one-entry cache on the calling path for a [call],
+      on the block landed in for a return or a call through a register).
+      A miss runs tier-1's rules:
       {!Emu.profile_arm}, then {!Emu.arrive_on}, the one copy of the
       calling-context rules.
 
@@ -115,7 +115,9 @@ type cblock = {
           annulling branch) the one that skips the delay slot *)
   mutable cb_arrivals : int;
       (** profiled non-sequential entries not yet folded *)
-  cb_tx : tx;  (** the context cache of returns arriving here *)
+  cb_tx : tx;
+      (** the context cache of returns, and of calls through a register,
+          arriving here *)
 }
 
 (** One exit path of a compiled block, summarized for the profile: the
@@ -131,7 +133,9 @@ and path = {
       (** profiled runs not yet folded into the pc and class tables *)
   mutable pa_cc : Emu.cct;  (** the context of the runs in [pa_cc_runs] *)
   mutable pa_cc_runs : int;  (** runs not yet added to [pa_cc] *)
-  pa_tx : tx;  (** the context cache of the call this path makes *)
+  pa_tx : tx;
+      (** the context cache of the [call] this path makes; the shared
+          empty one for other paths *)
 }
 
 (** A one-entry context cache: the last arrival at [tx_pc] right after a
@@ -140,8 +144,9 @@ and path = {
     left the stack [tx_to], whose context is [tx_cur]. That outcome is
     {!Emu.profile_arm}'s and {!Emu.arrive_on}'s, computed on the miss
     that filled the entry; those five are all it depends on, so a hit
-    replays it. A call's outcome is cached on the calling path, a
-    return's on the block it lands in, so a routine called from many
+    replays it. A [call]'s outcome is cached on the calling path (its
+    target is fixed), any other call's or a return's on the block it
+    lands in (so the pc is the block's), so a routine called from many
     sites hits on every site. *)
 and tx = {
   mutable tx_via : path;
@@ -950,9 +955,9 @@ let cover_add st wa cb =
    counter. *)
 let no_cct = Emu.new_cct min_int
 
-(* A path no profiled run took: what the profiled chain driver carries
-   when no path of its own armed a call or return (any pending transfer
-   is then in the profile), and the key of an empty context cache. *)
+(* A path no profiled run took: the key of an empty context cache, and
+   (with the profile's last pc) the path before a chain's first block,
+   whose arrival finds any pending transfer in the profile. *)
 let rec no_path =
   {
     pa_len = 0;
@@ -1006,7 +1011,7 @@ let path_of pc (words : Insn.t array) len =
     pa_runs = 0;
     pa_cc = no_cct;
     pa_cc_runs = 0;
-    pa_tx = (match !arm with Emu.Arm_call -> new_tx () | _ -> no_tx);
+    pa_tx = (match words.(!arm_idx) with Insn.Call _ -> new_tx () | _ -> no_tx);
   }
 
 (* Compile the block at [pc] and register it in the cache. [None] when
@@ -1078,13 +1083,12 @@ let arm (p : Emu.profile) pa before =
   Emu.profile_arm p ~pc:pa.pa_arm_pc ~at:(before + pa.pa_arm_at) pa.pa_arm
 
 (* Leave the profile as tier-1 would have it after [insns] instructions,
-   the last at [last]: [pend], when it is not {!no_path}, is the path
-   that ran last, whose transfer has not armed yet; [stk] is the shadow
-   stack. *)
-let settle (p : Emu.profile) ~insns ~last pend stk =
-  if pend != no_path then arm p pend (insns - pend.pa_len);
+   the last of them [prev]'s: a transfer [prev] makes has not armed yet.
+   [stk] is the shadow stack. *)
+let settle (p : Emu.profile) ~insns prev stk =
+  if prev.pa_arm != Emu.No_arm then arm p prev (insns - prev.pa_len);
   p.Emu.p_insns <- insns;
-  p.Emu.p_last_pc <- last;
+  p.Emu.p_last_pc <- prev.pa_last;
   Emu.set_stack p stk
 
 (* An OSR transfer left [cb] part-way: replay tier-1's profile step over
@@ -1270,7 +1274,7 @@ let rec chain st fuel cb =
       if nxt != no_block then chain st fuel nxt
 
 (* The arrival step at [cb] right after a run of [pend], a call or return
-   path, that the context cache [tx] does not hold: arm, then
+   path, that its context cache [tx] does not hold: arm, then
    {!Emu.arrive_on}, and cache the outcome. *)
 let transfer st (p : Emu.profile) tx cb pend insns stk =
   st.t2_ctx_misses <- st.t2_ctx_misses + 1;
@@ -1287,14 +1291,13 @@ let transfer st (p : Emu.profile) tx cb pend insns stk =
   stk'
 
 (* {!chain} keeping the profile [p]. The profile's calling-context state
-   rides along: [last] is the pc of the last instruction run, [pend] the
-   path that ran last if its transfer has not armed yet ({!no_path}
-   otherwise), [stk] the shadow stack and [cur] its context. Each exit
-   names its path by the instructions retired, takes the arrival step
-   and counts the run in the path's counter for [cur]. The arrival right
-   after a call or return path replays the outcome the context cache
-   holds for it, or runs {!transfer}. *)
-let rec chain_p st fuel (p : Emu.profile) cb last pend stk cur =
+   rides along: [prev] is the path that ran last (its call or return,
+   if any, has not armed yet), [stk] the shadow stack and [cur] its
+   context. Each exit names its path by the instructions retired, takes
+   the arrival step and counts the run in the path's counter for [cur].
+   The arrival right after a call or return path replays the outcome the
+   context cache holds for it, or runs {!transfer}. *)
+let rec chain_p st fuel (p : Emu.profile) cb prev stk cur =
   let m = st.t2_emu in
   st.t2_block_runs <- st.t2_block_runs + 1;
   st.t2_cur_pc <- cb.cb_pc;
@@ -1302,19 +1305,19 @@ let rec chain_p st fuel (p : Emu.profile) cb last pend stk cur =
   match cb.cb_entry () with
   | exception Deopt ->
       st.t2_cur_pc <- -1;
-      settle p ~insns:(n0 - st.t2_prof_off) ~last pend stk;
+      settle p ~insns:(n0 - st.t2_prof_off) prev stk;
       replay st p cb
   | next ->
       st.t2_cur_pc <- -1;
       let insns = n0 - st.t2_prof_off in
       let pa = Array.unsafe_get cb.cb_paths (cb.cb_len - (m.Emu.ninsns - n0)) in
       let stk = ref stk and cur = ref cur in
-      if cb.cb_pc = last + 4 then begin
-        if pend != no_path then arm p pend (insns - pend.pa_len)
+      if cb.cb_pc = prev.pa_last + 4 then begin
+        if prev.pa_arm != Emu.No_arm then arm p prev (insns - prev.pa_len)
       end
       else begin
         cb.cb_arrivals <- cb.cb_arrivals + 1;
-        if pend == no_path then begin
+        if prev.pa_arm == Emu.No_arm then begin
           if p.Emu.p_pending_call <> min_int || p.Emu.p_pending_ret then begin
             p.Emu.p_insns <- insns;
             let s = Emu.arrive_on p cb.cb_pc !stk in
@@ -1325,21 +1328,22 @@ let rec chain_p st fuel (p : Emu.profile) cb last pend stk cur =
           end
         end
         else begin
-          let tx = match pend.pa_arm with Emu.Arm_call -> pend.pa_tx | _ -> cb.cb_tx in
+          let tx = if prev.pa_tx.tx_pc = cb.cb_pc then prev.pa_tx else cb.cb_tx in
           if
-            tx.tx_via == pend && tx.tx_pc = cb.cb_pc && tx.tx_from == !stk
+            tx.tx_via == prev && tx.tx_from == !stk
             && tx.tx_call = p.Emu.p_pending_call
             && tx.tx_ret = p.Emu.p_pending_ret
           then begin
             (* what the arm and the arrival leave, as on the miss *)
             p.Emu.p_pending_call <- min_int;
             p.Emu.p_pending_ret <- false;
-            p.Emu.p_pending_at <- insns - pend.pa_len + pend.pa_arm_at;
+            p.Emu.p_pending_at <- insns - prev.pa_len + prev.pa_arm_at;
             stk := tx.tx_to;
             cur := tx.tx_cur
           end
           else begin
-            let s = transfer st p tx cb pend insns !stk in
+            let tx = if prev.pa_tx != no_tx then prev.pa_tx else cb.cb_tx in
+            let s = transfer st p tx cb prev insns !stk in
             stk := s;
             cur := tx.tx_cur
           end
@@ -1353,10 +1357,9 @@ let rec chain_p st fuel (p : Emu.profile) cb last pend stk cur =
         pa.pa_cc <- cur;
         pa.pa_cc_runs <- 1
       end;
-      let pend = match pa.pa_arm with Emu.No_arm -> no_path | _ -> pa in
       let nxt = successor st fuel cb next in
-      if nxt != no_block then chain_p st fuel p nxt pa.pa_last pend stk cur
-      else settle p ~insns:(insns + pa.pa_len) ~last:pa.pa_last pend stk
+      if nxt != no_block then chain_p st fuel p nxt pa stk cur
+      else settle p ~insns:(insns + pa.pa_len) pa stk
 
 let deopts st = st.t2_fault_deopts + st.t2_store_deopts
 
@@ -1385,8 +1388,9 @@ let loop st fuel =
           (match st.t2_prof with
           | None -> chain st fuel cb
           | Some p ->
-              chain_p st fuel p cb p.Emu.p_last_pc no_path p.Emu.p_stack
-                p.Emu.p_cur);
+              chain_p st fuel p cb
+                { no_path with pa_last = p.Emu.p_last_pc }
+                p.Emu.p_stack p.Emu.p_cur);
           (* chain exits at a block boundary: still an arrival. After an
              OSR transfer, though, the resumed pc must take at least one
              tier-1 step: a deopt-before cause (div-by-zero, a faulting
