@@ -1,8 +1,9 @@
 # Convenience wrapper over dune. `make check` is the full local gate:
-# build everything, run the test suites, the never-crash fuzz corpus, and
-# the observability trace smoke test.
+# build everything, run the test suites, the never-crash fuzz corpus, the
+# oracles, and the trace, fault-campaign, report, OS and serve smoke
+# gates. `make perf-regress` is the speed gate against the parent commit.
 
-.PHONY: all build test fuzz diff-smoke equiv-smoke trace-smoke inject-smoke report-smoke os-smoke perf perf-smoke perf-regress serve-bench serve-smoke check clean
+.PHONY: all build test fuzz diff-smoke equiv-smoke trace-smoke inject-smoke report-smoke os-smoke perf-regress serve-smoke check clean
 
 all: build
 
@@ -67,45 +68,28 @@ os-smoke:
 	./_build/default/bin/eel_report.exe --corpus os \
 	  --json _build/os-ledger.json | tee _build/os-report.txt
 
-# Performance trajectory: the predecode + multicore fan-out experiment,
-# persisted to BENCH_perf.json at the repo root (methodology in
-# EXPERIMENTS.md). perf-smoke is the tiny-budget CI variant: it fails if
-# the predecoded path is ever slower than decode-per-step.
-perf:
-	dune build bench/main.exe
-	./_build/default/bench/main.exe perf
-
-perf-smoke:
-	dune build bench/main.exe
-	EEL_PERF_BUDGET=smoke ./_build/default/bench/main.exe perf
-
-# Perf-regression gate: remeasure the perf experiment's throughput kernel
-# and compare against the committed BENCH_perf.json (or EEL_PERF_BASELINE)
-# within EEL_REGRESS_TOL (default 12%); appends a line to the trajectory
-# history (EEL_PERF_HISTORY, default _build/perf-history.jsonl). Scaling
-# assertions are skipped on 1-core machines / contended baselines, or with
-# EEL_REGRESS_SCALING=skip.
+# Perf-regression gate: the job benchmark (jobbench/, BENCHMARK.json) on
+# this checkout against its parent commit, checked out in a git worktree
+# under _build/. Alternating pairs of short runs of every workload; fails
+# when an end-to-end metric's median is worse than the parent's by more
+# than its BENCHMARK.json bound and the change lost at least 5 of 6 pairs,
+# or when warm_mixed < 3x cold_mixed jobs/s or a traced long_run's block
+# tier runs slower than its predecode tier. Prints the pair table and
+# writes it to _build/perf-pairs.json. The parent is the merge base with
+# origin/main (else HEAD~1); name another with
+# `./_build/default/bench/regress.exe REV`. Takes about 5 minutes.
 perf-regress:
 	dune build bench/regress.exe
 	./_build/default/bench/regress.exe
 
-# Rewriting-as-a-service benchmark: cold vs warm throughput of the 100-job
-# mixed corpus through the eel_serve engine with a durable content-addressed
-# cache (persisted to BENCH_serve.json; methodology in EXPERIMENTS.md).
-# Fails unless warm throughput is >= 3x cold and every cache hit is
-# byte-identical to its miss. serve-smoke is the CI variant: a smaller
-# budget through the same gate, plus the real binaries end-to-end — a cold
+# Rewriting-as-a-service gate: the real binaries end-to-end. A cold
 # eel_batch populates _build/serve-cache, then a fresh eel_batch process and
 # an eel_serve fed the emitted JSONL corpus must both serve entirely from
 # the durable layer (--expect-cached). Artifacts: _build/serve-report.json,
-# _build/serve-stats*.json, _build/serve-responses.jsonl.
-serve-bench:
-	dune build bench/main.exe
-	./_build/default/bench/main.exe serve
-
+# _build/serve-stats*.json, _build/serve-batch.txt,
+# _build/serve-responses.jsonl.
 serve-smoke:
-	dune build bench/main.exe bin/eel_batch.exe bin/eel_serve.exe
-	EEL_SERVE_BUDGET=smoke EEL_BENCH_SERVE=_build/BENCH_serve_smoke.json ./_build/default/bench/main.exe serve
+	dune build bin/eel_batch.exe bin/eel_serve.exe
 	rm -rf _build/serve-cache
 	./_build/default/bin/eel_batch.exe --gen 24 --cache-dir _build/serve-cache \
 	  --report _build/serve-report.json --stats _build/serve-stats-cold.json > _build/serve-batch.txt

@@ -540,69 +540,6 @@ let equiv () =
     \ eel.equiv.* registry slice lands in bench-metrics.json)\n\n"
 
 (* ---------------------------------------------------------------- *)
-(* perf — predecoded execution + multicore fan-out (ISSUE 5)         *)
-(* ---------------------------------------------------------------- *)
-
-let perf_path =
-  match Sys.getenv_opt "EEL_BENCH_PERF" with
-  | Some p -> p
-  | None -> "BENCH_perf.json"
-
-(* The measurement kernel lives in Perf_common, shared with the regression
-   gate (bench/regress.exe) so both read the same workload the same way. *)
-let perf () =
-  print_endline
-    "=== perf: tiered execution + multicore verification fan-out ===";
-  let smoke = Perf_common.smoke () in
-  let th = Perf_common.measure_throughput ~smoke () in
-  let speedup = Perf_common.speedup th in
-  let speedup_block = Perf_common.speedup_block th in
-  Printf.printf "workload: %d dynamic instructions (best of %d, %d warmup)\n"
-    th.Perf_common.th_insns th.Perf_common.th_samples th.Perf_common.th_warmup;
-  Printf.printf "tier interp:    %8.1f MIPS  (%.4f s)\n"
-    (Perf_common.mips th th.Perf_common.th_off)
-    th.Perf_common.th_off;
-  Printf.printf "tier predecode: %8.1f MIPS  (%.4f s)\n"
-    (Perf_common.mips th th.Perf_common.th_on)
-    th.Perf_common.th_on;
-  Printf.printf "tier block:     %8.1f MIPS  (%.4f s)\n"
-    (Perf_common.mips th th.Perf_common.th_block)
-    th.Perf_common.th_block;
-  Printf.printf "throughput speedup: %.2fx predecode/interp, %.2fx \
-                 block/predecode\n"
-    speedup speedup_block;
-  Printf.printf "load time: %.4f s predecoded vs %.4f s plain\n"
-    th.Perf_common.th_load_on th.Perf_common.th_load_off;
-  let sc = Perf_common.measure_scaling ~smoke () in
-  let cores = sc.Perf_common.sc_cores in
-  Printf.printf "verification sweep (%d jobs x identity round-trip, %d cores):\n"
-    sc.Perf_common.sc_sweep_jobs cores;
-  List.iter
-    (fun (j, t) ->
-      Printf.printf "  %d domain%s: %.4f s  (%.2fx vs 1)%s\n" j
-        (if j = 1 then " " else "s")
-        t
-        (Perf_common.point_speedup sc t)
-        (if Perf_common.point_contended sc j then "  [contended]" else ""))
-    sc.Perf_common.sc_points;
-  let oc = open_out perf_path in
-  output_string oc (Perf_common.trajectory_json ~cores ~smoke th sc);
-  close_out oc;
-  Printf.printf "wrote perf trajectory to %s\n\n" perf_path;
-  if smoke && speedup < 1.0 then (
-    Printf.eprintf
-      "perf-smoke FAILED: predecoded path slower than decode-per-step \
-       (%.2fx)\n"
-      speedup;
-    exit 1);
-  if smoke && speedup_block < 1.0 then (
-    Printf.eprintf
-      "perf-smoke FAILED: tier-2 block engine slower than predecoded \
-       dispatch (%.2fx)\n"
-      speedup_block;
-    exit 1)
-
-(* ---------------------------------------------------------------- *)
 (* Experiment I: seeded-fault detection rate (ISSUE 6)               *)
 (* ---------------------------------------------------------------- *)
 
@@ -645,98 +582,6 @@ let inject () =
     o.Fault.o_clean_total;
   if not (Fault.passed o) then (
     print_endline "FAIL: campaign below the 100%-detection bar";
-    exit 1)
-
-(* ---------------------------------------------------------------- *)
-(* serve — rewriting-as-a-service cold vs warm throughput (ISSUE 8)  *)
-(* ---------------------------------------------------------------- *)
-
-let serve_path =
-  match Sys.getenv_opt "EEL_BENCH_SERVE" with
-  | Some p -> p
-  | None -> "BENCH_serve.json"
-
-(* Cold: a fresh content-addressed cache directory — every job analyzes,
-   instruments and verifies from scratch (plus pays the cache stores).
-   Warm: a brand-new Cache.t over the same directory, as a restarted daemon
-   would see it — the in-memory layer starts empty, so every hit crosses
-   the durable disk layer. The gate: byte-identical responses and >=3x
-   warm-over-cold throughput (the ISSUE 8 acceptance bar; the smoke budget
-   keeps the corpus small and gates at a conservative 1.5x). *)
-let serve () =
-  let module Serve = Eel_service.Serve in
-  let module SCache = Eel_service.Cache in
-  print_endline "=== serve: cold vs warm throughput on the mixed job corpus ===";
-  let smoke = Sys.getenv_opt "EEL_SERVE_BUDGET" = Some "smoke" in
-  let count = if smoke then 24 else 100 in
-  let seed = 42 in
-  let batch = Serve.mixed_jobs ~count ~seed in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "eel-serve-bench-%d" (Unix.getpid ()))
-  in
-  let rec rm_rf path =
-    if Sys.is_directory path then (
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path)
-    else Sys.remove path
-  in
-  if Sys.file_exists dir then rm_rf dir;
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  let run () =
-    let cache = SCache.create ~dir () in
-    let cfg = Serve.default_config cache in
-    let t0 = Unix.gettimeofday () in
-    let results = Serve.run_batch cfg batch in
-    let dt = Unix.gettimeofday () -. t0 in
-    (results, dt, cache)
-  in
-  let cold_results, cold_s, _ = run () in
-  let warm_results, warm_s, warm_cache = run () in
-  let edited r =
-    match r.Serve.sr_outcome with
-    | Ok o -> o.Serve.o_edited
-    | Error m -> failwith ("bench serve: job failed: " ^ m)
-  in
-  (* byte-identity: the warm (cache-hit) edited image of every job must
-     equal the cold (cache-miss) one *)
-  List.iter2
-    (fun c w ->
-      if edited c <> edited w then
-        failwith
-          (Printf.sprintf "bench serve: cache hit diverged from miss on %s"
-             c.Serve.sr_id))
-    cold_results warm_results;
-  let n_ok rs = List.length (List.filter Serve.ok rs) in
-  let warm_cached = List.length (List.filter Serve.cached warm_results) in
-  if n_ok cold_results <> count || n_ok warm_results <> count then
-    failwith "bench serve: not every job came back equivalent";
-  let speedup = if warm_s > 0.0 then cold_s /. warm_s else infinity in
-  let rate n dt = if dt > 0.0 then float_of_int n /. dt else 0.0 in
-  Printf.printf "corpus: %d jobs (6 tools x corpus + generated workloads)\n"
-    count;
-  Printf.printf "cold (empty cache):   %7.2f s  (%6.1f jobs/s)\n" cold_s
-    (rate count cold_s);
-  Printf.printf "warm (durable cache): %7.2f s  (%6.1f jobs/s, %d/%d cached)\n"
-    warm_s (rate count warm_s) warm_cached count;
-  Printf.printf "warm-over-cold throughput: %.1fx\n" speedup;
-  Printf.printf "cache hits are byte-identical to misses on all %d jobs\n"
-    count;
-  let oc = open_out serve_path in
-  Printf.fprintf oc
-    {|{"count": %d, "seed": %d, "smoke": %b, "cold_s": %.4f, "warm_s": %.4f, "cold_jobs_per_s": %.2f, "warm_jobs_per_s": %.2f, "speedup": %.2f, "warm_cached": %d, "cache": %s}
-|}
-    count seed smoke cold_s warm_s (rate count cold_s) (rate count warm_s)
-    speedup warm_cached
-    (SCache.stats_json warm_cache);
-  close_out oc;
-  Printf.printf "wrote serve trajectory to %s\n\n" serve_path;
-  let bar = if smoke then 1.5 else 3.0 in
-  if speedup < bar then (
-    Printf.eprintf "serve FAILED: warm throughput only %.2fx cold (need >= %.1fx)\n"
-      speedup bar;
     exit 1)
 
 (* ---------------------------------------------------------------- *)
@@ -865,13 +710,11 @@ let all =
       ("e8", e8);
       ("optprof", optprof);
       ("equiv", equiv);
-      ("perf", perf);
       ("fold", ablation_folding);
       ("slice", ablation_slicing);
       ("span", ablation_span);
       ("scavenge", ablation_scavenging);
       ("inject", inject);
-      ("serve", serve);
       ("micro", micro);
     ]
 

@@ -1,176 +1,232 @@
-(* The perf-regression gate's pass/fail decision (`make perf-regress`,
-   bench/regress.ml), apart from the measurement it judges: a fresh perf
-   point against the committed baseline BENCH_perf.json, per-metric
-   thresholds.
+(* The pair gate's decision (`make perf-regress`, driven by
+   bench/regress.ml), apart from the runs it judges. The job benchmark
+   runs on the parent commit and on the change in alternating pairs; each
+   workload x end-to-end metric of BENCHMARK.json is judged on its own:
 
-   Checks:
-     - absolute: the predecoded path must not be slower than
-       decode-per-step (speedup >= 1.0) — same invariant as perf-smoke —
-       and the tier-2 block engine must not be slower than the predecoded
-       dispatch loop (speedup_block >= 1.0);
-     - relative: fresh predecode speedup >= baseline speedup * (1 - TOL),
-       and likewise for the tier-2 speedup when the baseline has one
-       (a seeded >=20% throughput regression must fail the default 12%);
-     - informational: absolute MIPS is machine-dependent, so a large drop
-       (>50% below baseline) only warns;
-     - scaling: per-domain speedup_vs_1 within 25% of the baseline point,
-       skipped for points tagged "contended": true (measured with more
-       domains than cores: GC-handshake slowdown, not regression), on
-       1-core machines and 1-core baselines, and on request. *)
+     - the change fails a metric when its median is worse than the
+       parent's by more than the metric's `bound` AND it lost at least
+       [min_lost] of the [pairs] pairs (ties count for neither side);
+     - two checks read the change's runs alone: warm_mixed serves at
+       least [warm_over_cold] x cold_mixed's median jobs/s, and a traced
+       long_run reads emu.run.mips_block >= emu.run.mips_predecode.
+
+   Everything here is pure, so test_obs drives it on synthetic tables. *)
 
 module Json = Eel_obs.Json
 
-(* --- baseline parsing ------------------------------------------------ *)
+let pairs = 6
+let seconds = 3
+let seed = 11
+let min_lost = 5
+let warm_over_cold = 3.0
 
-type base_point = { bp_jobs : int; bp_speedup : float; bp_contended : bool }
+(* --- inputs ---------------------------------------------------------- *)
 
-type baseline = {
-  b_cores : int;
-  b_speedup : float;
-  b_speedup_block : float option;
-      (** tier-2 vs predecode; None in pre-tier-2 baselines *)
-  b_mips_on : float;
-  b_points : base_point list;
+type metric = { m_name : string; m_higher : bool; m_bound : float }
+
+(** One jobbench run: its result line, the last line it prints. *)
+type run = {
+  correct : bool;
+  attempted : int;
+  failed : int;
+  values : (string * float) list;
 }
 
-let num ctx = function
-  | Some (Json.Num n) -> n
-  | _ -> failwith ("baseline: missing number " ^ ctx)
+exception Malformed of string
 
-let parse_baseline src =
-  match Json.parse src with
-  | Error m -> failwith ("baseline: not valid JSON: " ^ m)
-  | Ok root ->
-      let throughput =
-        match Json.member "throughput" root with
-        | Some t -> t
-        | None -> failwith "baseline: no throughput"
-      in
-      let on =
-        match Json.member "predecode_on" throughput with
-        | Some v -> v
-        | None -> failwith "baseline: no predecode_on"
-      in
-      let points =
-        match Json.member "scaling" root with
-        | Some sc -> (
-            match Json.member "points" sc with
-            | Some (Json.Arr ps) ->
-                List.map
-                  (fun p ->
-                    {
-                      bp_jobs = int_of_float (num "jobs" (Json.member "jobs" p));
-                      bp_speedup =
-                        num "speedup_vs_1" (Json.member "speedup_vs_1" p);
-                      bp_contended =
-                        (match Json.member "contended" p with
-                        | Some (Json.Bool b) -> b
-                        | _ -> false);
-                    })
-                  ps
-            | _ -> [])
-        | None -> []
-      in
+let get name conv j =
+  match Option.bind (Json.member name j) conv with
+  | Some v -> v
+  | None -> raise (Malformed name)
+
+let str = function Json.Str s -> Some s | _ -> None
+let num = function Json.Num n -> Some n | _ -> None
+let arr = function Json.Arr l -> Some l | _ -> None
+let obj = function Json.Obj kvs -> Some kvs | _ -> None
+
+let parse f src =
+  Result.bind (Json.parse src) (fun root ->
+      try Ok (f root) with Malformed name -> Error ("missing or malformed field " ^ name))
+
+(** The workload names and end-to-end metrics of a BENCHMARK.json. *)
+let parse_spec =
+  parse (fun root ->
+      ( List.map (get "name" str) (get "workloads" arr root),
+        List.map
+          (fun e ->
+            let m_higher =
+              match get "better" str e with
+              | "higher" -> true
+              | "lower" -> false
+              | _ -> raise (Malformed "better")
+            in
+            { m_name = get "name" str e; m_higher; m_bound = get "bound" num e })
+          (get "end_to_end" arr root) ))
+
+let parse_run =
+  parse (fun root ->
       {
-        b_cores = int_of_float (num "cores" (Json.member "cores" root));
-        b_speedup = num "speedup" (Json.member "speedup" throughput);
-        b_speedup_block =
-          (match Json.member "speedup_block" throughput with
-          | Some (Json.Num n) -> Some n
-          | _ -> None);
-        b_mips_on = num "mips" (Json.member "mips" on);
-        b_points = points;
-      }
+        correct = get "correct" (function Json.Bool b -> Some b | _ -> None) root;
+        attempted = int_of_float (get "attempted" num root);
+        failed = int_of_float (get "failed" num root);
+        values = List.map (fun (k, v) -> (k, get "value" num v)) (get "metrics" obj root);
+      })
+
+let value name r = List.assoc_opt name r.values
 
 (* --- the decision ---------------------------------------------------- *)
 
-(** One freshly measured perf point, as the throughput checks read it. *)
-type fresh = { f_speedup : float; f_speedup_block : float; f_mips_on : float }
+(** Quantile [p] of a non-empty sample, interpolated between ranks. *)
+let quantile p xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let h = p *. float_of_int (Array.length a - 1) in
+  let i = int_of_float h in
+  if i + 1 >= Array.length a then a.(i)
+  else a.(i) +. ((h -. float_of_int i) *. (a.(i + 1) -. a.(i)))
 
-type verdict = Pass | Fail | Skip | Warn
+let median = quantile 0.5
 
-type check = { c_name : string; c_verdict : verdict; c_detail : string }
+type spread = { median : float; q1 : float; q3 : float }
 
-let verdict_name = function
-  | Pass -> "PASS"
-  | Fail -> "FAIL"
-  | Skip -> "SKIP"
-  | Warn -> "WARN"
+let spread xs = { median = median xs; q1 = quantile 0.25 xs; q3 = quantile 0.75 xs }
 
-let gated name ok detail =
-  { c_name = name; c_verdict = (if ok then Pass else Fail); c_detail = detail }
+type row = {
+  r_workload : string;
+  r_metric : metric;
+  r_parent : spread;
+  r_change : spread;
+  r_won : int;  (** pairs where the change was better *)
+  r_lost : int;  (** pairs where the change was worse *)
+  r_fail : bool;
+}
 
-(** The throughput checks of a fresh point against [base] at tolerance
-    [tol] (a fraction). *)
-let throughput_checks ~tol base f =
-  let floor b = b *. (1.0 -. tol) in
-  [
-    gated "predecode not slower than decode" (f.f_speedup >= 1.0)
-      (Printf.sprintf "%.2fx" f.f_speedup);
-    gated "throughput speedup vs baseline"
-      (f.f_speedup >= floor base.b_speedup)
-      (Printf.sprintf "%.2fx vs %.2fx (floor %.2fx)" f.f_speedup base.b_speedup
-         (floor base.b_speedup));
-    gated "tier-2 not slower than predecode" (f.f_speedup_block >= 1.0)
-      (Printf.sprintf "%.2fx" f.f_speedup_block);
-    (match base.b_speedup_block with
-    | None ->
-        {
-          c_name = "tier-2 speedup vs baseline";
-          c_verdict = Skip;
-          c_detail = "baseline predates the block tier";
-        }
-    | Some b ->
-        gated "tier-2 speedup vs baseline"
-          (f.f_speedup_block >= floor b)
-          (Printf.sprintf "%.2fx vs %.2fx (floor %.2fx)" f.f_speedup_block b
-             (floor b)));
-  ]
-  @
-  if f.f_mips_on < base.b_mips_on *. 0.5 then
-    [
-      {
-        c_name = "absolute MIPS";
-        c_verdict = Warn;
-        c_detail =
-          Printf.sprintf "%.1f MIPS vs baseline %.1f (machine-dependent, not gated)"
-            f.f_mips_on base.b_mips_on;
-      };
-    ]
-  else []
+(** Judge metric [m] of [workload] on its [(parent, change)] pairs. *)
+let judge ~workload m prs =
+  let better a b = if m.m_higher then a > b else a < b in
+  let count f = List.length (List.filter (fun (p, c) -> f p c) prs) in
+  let p = spread (List.map fst prs) and c = spread (List.map snd prs) in
+  (* how much worse the change's median is, as a fraction of the parent's *)
+  let d = if m.m_higher then p.median -. c.median else c.median -. p.median in
+  let worse = if d = 0. then 0. else d /. Float.abs p.median in
+  let lost = count (fun p c -> better p c) in
+  {
+    r_workload = workload;
+    r_metric = m;
+    r_parent = p;
+    r_change = c;
+    r_won = count (fun p c -> better c p);
+    r_lost = lost;
+    r_fail = worse > m.m_bound && lost >= min_lost;
+  }
 
-(** Why the scaling checks cannot run on a machine with [cores] cores
-    against [base] ([skip]: asked to skip them), or [None] when they can. *)
-let scaling_skip ~cores ~skip base =
-  if base.b_points = [] then Some "baseline has no sweep points"
-  else if cores <= 1 || base.b_cores <= 1 then
-    Some "1-core run: sweep measures GC-handshake contention, not scaling"
-  else if List.exists (fun p -> p.bp_contended) base.b_points then
-    Some "baseline sweep points tagged contended"
-  else if skip then Some "EEL_REGRESS_SCALING=skip"
-  else None
+(** A workload's runs, as [(parent, change)] pairs. *)
+type table = (string * (run * run) list) list
 
-(** The domain counts to sweep on [cores] cores: the baseline's points
-    that fit. *)
-let scaling_jobs ~cores base =
+(** One row per workload x metric; a metric missing from any run (the
+    parent predates it) is left out. *)
+let rows metrics (table : table) =
+  List.concat_map
+    (fun (workload, prs) ->
+      List.filter_map
+        (fun m ->
+          let v r = List.assoc m.m_name r.values in
+          match List.map (fun (p, c) -> (v p, v c)) prs with
+          | [] | (exception Not_found) -> None
+          | vs -> Some (judge ~workload m vs))
+        metrics)
+    table
+
+type check = { c_name : string; c_ok : bool; c_detail : string }
+
+let check c_name c_ok c_detail = { c_name; c_ok; c_detail }
+
+(** warm_mixed must serve at least [warm_over_cold] x cold_mixed's
+    jobs/s, medians of the change's runs in [table]. *)
+let warm_check (table : table) =
+  let name = Printf.sprintf "warm_mixed >= %gx cold_mixed jobs/s" warm_over_cold in
+  let med w =
+    Option.bind (List.assoc_opt w table) (fun prs ->
+        match List.filter_map (fun (_, c) -> value "jobs_per_s" c) prs with
+        | [] -> None
+        | xs -> Some (median xs))
+  in
+  match (med "warm_mixed", med "cold_mixed") with
+  | Some w, Some c ->
+      check name (w >= warm_over_cold *. c)
+        (Printf.sprintf "%.1f vs %.1f jobs/s (%.2fx)" w c (w /. c))
+  | _ -> check name false "no warm_mixed or cold_mixed jobs_per_s"
+
+(** The block tier must not run slower than the predecode tier in a
+    traced long_run run of the change. *)
+let tier_check traced =
+  let name = "long_run mips_block >= mips_predecode" in
+  match (value "emu.run.mips_block" traced, value "emu.run.mips_predecode" traced) with
+  | Some b, Some p -> check name (b >= p) (Printf.sprintf "%.1f vs %.1f MIPS" b p)
+  | _ -> check name false "traced long_run printed no emu.run.mips_* values"
+
+(** The names of what failed: "workload metric" rows, then checks. *)
+let failures rows checks =
   List.filter_map
-    (fun p -> if (not p.bp_contended) && p.bp_jobs <= cores then Some p.bp_jobs else None)
-    base.b_points
+    (fun r -> if r.r_fail then Some (r.r_workload ^ " " ^ r.r_metric.m_name) else None)
+    rows
+  @ List.filter_map (fun c -> if c.c_ok then None else Some c.c_name) checks
 
-(** The scaling checks of fresh [(domains, speedup_vs_1)] points. *)
-let scaling_checks base fresh =
-  List.filter_map
-    (fun (j, speedup) ->
-      Option.map
-        (fun p ->
-          gated
-            (Printf.sprintf "scaling speedup at %d domains" j)
-            (speedup >= p.bp_speedup *. 0.75)
-            (Printf.sprintf "%.2fx vs %.2fx" speedup p.bp_speedup))
-        (List.find_opt (fun p -> p.bp_jobs = j) base.b_points))
-    fresh
+(* --- output ---------------------------------------------------------- *)
 
-let failures checks =
-  List.filter_map
-    (fun c -> if c.c_verdict = Fail then Some c.c_name else None)
-    checks
+(* three significant figures, as the EXPERIMENTS tables print them *)
+let sig3 x =
+  if x = 0. || not (Float.is_finite x) then Printf.sprintf "%g" x
+  else
+    let e = int_of_float (Float.floor (Float.log10 (Float.abs x))) in
+    Printf.sprintf "%.*f" (max 0 (2 - e)) x
+
+(** The pair table as Markdown, in the layout of EXPERIMENTS.md. *)
+let table_lines rows =
+  let cell s = Printf.sprintf "%s [%s–%s]" (sig3 s.median) (sig3 s.q1) (sig3 s.q3) in
+  "| workload/seed | metric | parent | change | change/parent | won |"
+  :: "|---|---|---|---|---|---|"
+  :: List.map
+       (fun r ->
+         Printf.sprintf "| %s/%d | %s | %s | %s | %s | %d/%d |%s" r.r_workload seed
+           r.r_metric.m_name (cell r.r_parent) (cell r.r_change)
+           (if r.r_parent.median = 0. then "-"
+            else Printf.sprintf "%.3f" (r.r_change.median /. r.r_parent.median))
+           r.r_won pairs
+           (if r.r_fail then " FAIL" else ""))
+       rows
+
+(** The gate run as JSON: both commits, the machine, and per workload x
+    metric each side's median/q1/q3 and the pairs the change won and lost. *)
+let to_json ~parent ~change ~machine ~cores ~wall_s rows checks =
+  let q = Json.escape in
+  let spread s = Printf.sprintf {|{"median": %.6g, "q1": %.6g, "q3": %.6g}|} s.median s.q1 s.q3 in
+  let metric r =
+    Printf.sprintf
+      {|"%s": {"better": "%s", "bound": %g, "parent": %s, "change": %s, "won": %d, "lost": %d, "fail": %b}|}
+      (q r.r_metric.m_name)
+      (if r.r_metric.m_higher then "higher" else "lower")
+      r.r_metric.m_bound (spread r.r_parent) (spread r.r_change) r.r_won r.r_lost r.r_fail
+  in
+  let workload w =
+    Printf.sprintf "\"%s\": {\n   %s}" (q w)
+      (String.concat ",\n   " (List.map metric (List.filter (fun r -> r.r_workload = w) rows)))
+  in
+  let check c =
+    Printf.sprintf {|{"name": "%s", "pass": %b, "detail": "%s"}|} (q c.c_name) c.c_ok (q c.c_detail)
+  in
+  let workloads =
+    List.fold_right (fun r ws -> if List.mem r.r_workload ws then ws else r.r_workload :: ws) rows []
+  in
+  Printf.sprintf
+    {|{"parent": "%s", "change": "%s", "machine": "%s", "cores": %d,
+ "seed": %d, "seconds": %d, "pairs": %d, "min_lost": %d, "wall_s": %.1f, "pass": %b,
+ "workloads": {
+  %s},
+ "checks": [
+  %s]}
+|}
+    (q parent) (q change) (q machine) cores seed seconds pairs min_lost wall_s
+    (failures rows checks = [])
+    (String.concat ",\n  " (List.map workload workloads))
+    (String.concat ",\n  " (List.map check checks))

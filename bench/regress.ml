@@ -1,158 +1,159 @@
-(* Perf-regression gate (`make perf-regress`): measure a fresh perf point
-   with the same kernel as the perf experiment (Perf_common) and judge it
-   against the committed baseline BENCH_perf.json; the checks and their
-   thresholds are Perf_gate's. Every run appends one JSONL line to a
-   trajectory history, so drift is visible over time, not just
-   run-to-run.
+(* Perf-regression gate (`make perf-regress`): the job benchmark on this
+   checkout against its parent commit, in alternating pairs.
 
-   Environment: EEL_PERF_BASELINE (default BENCH_perf.json),
-   EEL_REGRESS_TOL (default 0.12), EEL_REGRESS_SCALING=skip,
-   EEL_PERF_HISTORY (default _build/perf-history.jsonl), plus
-   Perf_common's EEL_PERF_BUDGET / EEL_PERF_HANDICAP. `regress
-   --write-baseline FILE` measures and writes a fresh baseline instead of
-   comparing. *)
+     regress.exe [REV]
 
-let fail_usage () =
-  prerr_endline "usage: regress [--write-baseline FILE]";
-  exit 2
+   The parent is REV, by default `git merge-base HEAD origin/main`, else
+   HEAD~1. It is checked out in a git worktree under _build/perf-parent
+   (removed on exit). Each side runs its own checkout's jobbench/run.py
+   on every BENCHMARK.json workload; the two sides never run at once, and
+   which one goes first alternates from pair to pair. The constants and
+   the decision are Perf_gate's. The pair table is printed and written as
+   JSON to _build/perf-pairs.json.
 
-let getenv_f name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> default)
-  | None -> default
+   Exit 0 on pass; 1 on a failed metric or check, or a failed job on the
+   change side; 2 on a usage error or when the parent cannot be checked
+   out, built or run. *)
 
-(* --- history --------------------------------------------------------- *)
+module Gate = Perf_gate
 
-let append_history ~pass ~baseline th =
-  let path =
-    match Sys.getenv_opt "EEL_PERF_HISTORY" with
-    | Some p -> p
-    | None -> "_build/perf-history.jsonl"
-  in
-  (try
-     let dir = Filename.dirname path in
-     if dir <> "" && dir <> "." && not (Sys.file_exists dir) then
-       Sys.mkdir dir 0o755
-   with Sys_error _ -> ());
-  try
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    Printf.fprintf oc
-      "{\"ts\": %.0f, \"speedup\": %.3f, \"speedup_block\": %.3f, \
-       \"mips_on\": %.2f, \"mips_off\": %.2f, \"mips_block\": %.2f, \
-       \"smoke\": %b, \"baseline\": \"%s\", \"pass\": %b}\n"
-      (Unix.time ())
-      (Perf_common.speedup th)
-      (Perf_common.speedup_block th)
-      (Perf_common.mips th th.Perf_common.th_on)
-      (Perf_common.mips th th.Perf_common.th_off)
-      (Perf_common.mips th th.Perf_common.th_block)
-      (Perf_common.smoke ()) baseline pass;
-    close_out oc
-  with Sys_error m -> Printf.eprintf "regress: history append failed: %s\n" m
+let say fmt = Printf.ksprintf (fun m -> print_endline ("perf-regress: " ^ m)) fmt
+let die code fmt = Printf.ksprintf (fun m -> say "%s" m; exit code) fmt
 
-(* --- main ------------------------------------------------------------ *)
+(* Run [args]; its exit code and standard output. Standard error passes
+   through unless [quiet]. *)
+let capture ?(quiet = false) args =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let err = if quiet then Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 else Unix.stderr in
+  let pid = Unix.create_process args.(0) args Unix.stdin w err in
+  Unix.close w;
+  if quiet then Unix.close err;
+  let out = In_channel.input_all (Unix.in_channel_of_descr r) in
+  Unix.close r;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED c -> (c, out)
+  | _ -> (255, out)
+
+let git ?quiet args =
+  match capture ?quiet (Array.of_list ("git" :: args)) with
+  | 0, out -> Some (String.trim out)
+  | _ -> None
+
+let machine () =
+  match In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all with
+  | exception Sys_error _ -> "unknown"
+  | info -> (
+      match
+        List.find_opt (String.starts_with ~prefix:"model name")
+          (String.split_on_char '\n' info)
+      with
+      | Some l ->
+          let i = String.index l ':' + 1 in
+          String.trim (String.sub l i (String.length l - i))
+      | None -> "unknown")
 
 let () =
-  let write_baseline = ref "" in
-  (match Array.to_list Sys.argv with
-  | [ _ ] -> ()
-  | [ _; "--write-baseline"; f ] -> write_baseline := f
-  | _ -> fail_usage ());
-  let smoke = Perf_common.smoke () in
-  if !write_baseline <> "" then begin
-    let th = Perf_common.measure_throughput ~smoke () in
-    (* scaling points are optional in a baseline; a gate run against one
-       without them just skips the scaling checks *)
-    let sc =
-      {
-        Perf_common.sc_sweep_jobs = 0;
-        sc_fuel = 0;
-        sc_cores = Domain.recommended_domain_count ();
-        sc_points = [];
-      }
-    in
-    let oc = open_out !write_baseline in
-    output_string oc
-      (Perf_common.trajectory_json ~cores:sc.Perf_common.sc_cores ~smoke th sc);
-    close_out oc;
-    Printf.printf "regress: wrote baseline %s (speedup %.2fx)\n"
-      !write_baseline (Perf_common.speedup th);
-    exit 0
-  end;
-  let baseline_path =
-    match Sys.getenv_opt "EEL_PERF_BASELINE" with
-    | Some p -> p
-    | None -> "BENCH_perf.json"
-  in
-  let base =
-    try
-      let ic = open_in_bin baseline_path in
-      let src =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Perf_gate.parse_baseline src
-    with
-    | Sys_error m ->
-        Printf.eprintf "regress: cannot read baseline %s: %s\n" baseline_path m;
-        exit 2
-    | Failure m ->
-        Printf.eprintf "regress: %s: %s\n" baseline_path m;
+  let t0 = Unix.gettimeofday () in
+  let rev =
+    match Sys.argv with
+    | [| _ |] -> None
+    | [| _; r |] when r <> "" && r.[0] <> '-' -> Some r
+    | _ ->
+        prerr_endline "usage: regress [REV]";
         exit 2
   in
-  let tol = getenv_f "EEL_REGRESS_TOL" 0.12 in
-  let report (c : Perf_gate.check) =
-    Printf.printf "%-34s %s  %s\n" c.Perf_gate.c_name
-      (Perf_gate.verdict_name c.Perf_gate.c_verdict)
-      c.Perf_gate.c_detail
+  let root =
+    match git [ "rev-parse"; "--show-toplevel" ] with
+    | Some r -> r
+    | None -> die 2 "not in a git checkout"
   in
-  Printf.printf "perf-regress: baseline %s (cores %d), %s budget, tol %.0f%%\n"
-    baseline_path base.Perf_gate.b_cores
-    (if smoke then "smoke" else "full")
-    (tol *. 100.);
-  let th = Perf_common.measure_throughput ~smoke () in
-  let checks =
-    Perf_gate.throughput_checks ~tol base
-      {
-        Perf_gate.f_speedup = Perf_common.speedup th;
-        f_speedup_block = Perf_common.speedup_block th;
-        f_mips_on = Perf_common.mips th th.Perf_common.th_on;
-      }
+  let git ?quiet args = git ?quiet ("-C" :: root :: args) in
+  let commit r = git ~quiet:true [ "rev-parse"; "--verify"; "--quiet"; r ^ "^{commit}" ] in
+  let parent =
+    match rev with
+    | Some r -> ( match commit r with Some c -> c | None -> die 2 "unknown revision %s" r)
+    | None -> (
+        match git ~quiet:true [ "merge-base"; "HEAD"; "origin/main" ] with
+        | Some c -> c
+        | None -> (
+            match commit "HEAD~1" with
+            | Some c -> c
+            | None -> die 2 "no origin/main or HEAD~1: name the parent revision"))
   in
-  List.iter report checks;
-  (* scaling: only meaningful with real cores and an uncontended baseline *)
-  let cores = Domain.recommended_domain_count () in
-  let checks =
+  let change =
+    Option.value (commit "HEAD") ~default:"none"
+    ^ if git [ "status"; "--porcelain"; "--untracked-files=no" ] = Some "" then "" else "+dirty"
+  in
+  let workloads, metrics =
     match
-      Perf_gate.scaling_skip ~cores
-        ~skip:(Sys.getenv_opt "EEL_REGRESS_SCALING" = Some "skip")
-        base
+      Gate.parse_spec (In_channel.with_open_bin (Filename.concat root "BENCHMARK.json") In_channel.input_all)
     with
-    | Some why ->
-        Printf.printf "%-34s SKIP  %s\n" "scaling speedup per domain count" why;
-        checks
-    | None ->
-        let sc =
-          Perf_common.measure_scaling ~smoke
-            ~jobs_list:(Perf_gate.scaling_jobs ~cores base)
-            ()
-        in
-        let scaling =
-          Perf_gate.scaling_checks base
-            (List.map
-               (fun (j, t) -> (j, Perf_common.point_speedup sc t))
-               sc.Perf_common.sc_points)
-        in
-        List.iter report scaling;
-        checks @ scaling
+    | Ok s -> s
+    | Error m -> die 2 "BENCHMARK.json: %s" m
+    | exception Sys_error m -> die 2 "%s" m
   in
-  let failures = Perf_gate.failures checks in
-  let pass = failures = [] in
-  append_history ~pass ~baseline:baseline_path th;
-  if pass then print_endline "perf-regress: PASS"
-  else begin
-    Printf.printf "perf-regress: FAIL (%s)\n"
-      (String.concat ", " failures);
-    exit 1
-  end
+  let wt = Filename.concat root "_build/perf-parent" in
+  let drop () =
+    ignore (git ~quiet:true [ "worktree"; "remove"; "--force"; wt ]);
+    if Sys.file_exists wt then ignore (Sys.command ("rm -rf " ^ Filename.quote wt));
+    ignore (git [ "worktree"; "prune" ])
+  in
+  drop ();
+  if git [ "worktree"; "add"; "--quiet"; "--detach"; wt; parent ] = None then
+    die 2 "cannot check out the parent %s" parent;
+  at_exit drop;
+  say "parent %s, change %s; %d pairs of %d s runs per workload, seed %d" parent change
+    Gate.pairs Gate.seconds Gate.seed;
+  let bench side ~fail ?(trace = 0) workload =
+    let code, out =
+      capture
+        [|
+          "python3"; Filename.concat side "jobbench/run.py"; "--workload"; workload;
+          "--seed"; string_of_int Gate.seed; "--seconds"; string_of_int Gate.seconds;
+          "--trace"; string_of_int trace;
+        |]
+    in
+    let last = List.hd (List.rev (String.split_on_char '\n' (String.trim out))) in
+    match Gate.parse_run last with
+    | Ok r when code = 0 && r.Gate.correct -> r
+    | Ok r ->
+        fail workload
+          (Printf.sprintf "exit %d, %d of %d jobs failed" code r.Gate.failed r.Gate.attempted)
+    | Error m -> fail workload (Printf.sprintf "exit %d, no result line (%s)" code m)
+  in
+  let on_parent = bench wt ~fail:(die 2 "the parent cannot be measured: %s: %s") in
+  let on_change = bench root ~fail:(die 1 "FAIL (the change's %s run failed: %s)") in
+  let runs = Hashtbl.create 8 in
+  for i = 1 to Gate.pairs do
+    List.iter
+      (fun w ->
+        let p, c =
+          if i mod 2 = 1 then
+            let p = on_parent w in
+            (p, on_change w)
+          else
+            let c = on_change w in
+            (on_parent w, c)
+        in
+        Hashtbl.add runs w (p, c);
+        let jobs r = Option.value (Gate.value "jobs_per_s" r) ~default:nan in
+        say "pair %d/%d %-10s parent %8.2f  change %8.2f jobs/s" i Gate.pairs w (jobs p) (jobs c))
+      workloads
+  done;
+  let table = List.map (fun w -> (w, List.rev (Hashtbl.find_all runs w))) workloads in
+  let rows = Gate.rows metrics table in
+  let checks = [ Gate.warm_check table; Gate.tier_check (on_change ~trace:1 "long_run") ] in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  List.iter print_endline (Gate.table_lines rows);
+  List.iter
+    (fun c -> say "%s %s: %s" (if c.Gate.c_ok then "PASS" else "FAIL") c.Gate.c_name c.Gate.c_detail)
+    checks;
+  let out = Filename.concat root "_build/perf-pairs.json" in
+  Out_channel.with_open_bin out (fun oc ->
+      output_string oc
+        (Gate.to_json ~parent ~change ~machine:(machine ())
+           ~cores:(Domain.recommended_domain_count ())
+           ~wall_s rows checks));
+  match Gate.failures rows checks with
+  | [] -> say "PASS in %.0f s (%s)" wall_s out
+  | fs -> die 1 "FAIL (%s) in %.0f s (%s)" (String.concat ", " fs) wall_s out

@@ -54,6 +54,11 @@ let () =
         flush out_chan
   in
   let pending = ref [] and n_pending = ref 0 in
+  let flush_pending () =
+    flush_batch !pending;
+    pending := [];
+    n_pending := 0
+  in
   let feed_line line =
     let line = String.trim line in
     if line <> "" then (
@@ -63,7 +68,9 @@ let () =
           pending := job :: !pending;
           incr n_pending
       | Error m ->
-          (* a bad line is a per-job error response, not a dead daemon *)
+          (* a bad line is a per-job error response, not a dead daemon;
+             the jobs before it answer first *)
+          flush_pending ();
           incr n_total;
           incr n_err;
           output_string out_chan
@@ -72,10 +79,7 @@ let () =
                (Proto.json_str m));
           output_char out_chan '\n';
           flush out_chan);
-      if !n_pending >= !batch then (
-        flush_batch !pending;
-        pending := [];
-        n_pending := 0))
+      if !n_pending >= !batch then flush_pending ())
   in
   let feed_channel ic =
     try

@@ -853,12 +853,10 @@ let env_sweep ~seed ~fuel () : int * int =
   let guard f =
     incr trials;
     try ignore (f ()) with
-    | Stack_overflow -> incr crashes
     | exn ->
         incr crashes;
-        if Sys.getenv_opt "EEL_INJECT_DEBUG" <> None then
-          Printf.eprintf "env trial %d crashed: %s\n%!" !trials
-            (Printexc.to_string exn)
+        Printf.eprintf "env trial %d crashed: %s\n%!" !trials
+          (Printexc.to_string exn)
   in
   let progs = Corpus.all () in
   let exe = List.assoc matrix_prog progs in

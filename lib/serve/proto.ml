@@ -23,7 +23,8 @@
       participates in the result-cache key.
     - [id] (optional): echoed in the response; defaults to ["job-<n>"].
     - [fuel], [sfi_base], [sfi_size] (optional): forwarded to
-      {!Eel_tools.Toolbox.measure}.
+      {!Eel_tools.Toolbox.measure}. [fuel] must be positive; a bad SFI
+      segment is the job's error, from {!Eel_tools.Toolbox.apply}.
 
     Responses are deliberately deterministic (no wall-clock fields), so the
     response stream is byte-identical at any [EEL_JOBS]; timing lives in
@@ -82,11 +83,15 @@ let json_str s = "\"" ^ Json.escape s ^ "\""
 
 (* ---- parsing ---- *)
 
+(* only the integers a double holds exactly: past 2^53, [int_of_float]
+   of a JSON number is not the number written *)
 let num_field j name : (int option, string) result =
   match Json.member name j with
   | None | Some Json.Null -> Ok None
-  | Some (Json.Num f) when Float.is_integer f -> Ok (Some (int_of_float f))
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
+  | Some (Json.Num f) when Float.is_integer f && Float.abs f <= 0x1p53 ->
+      Ok (Some (int_of_float f))
+  | Some _ ->
+      Error (Printf.sprintf "field %S must be an integer of magnitude at most 2^53" name)
 
 let str_field j name : (string option, string) result =
   match Json.member name j with
@@ -154,6 +159,11 @@ let job_of_json ~seq j : (job, string) result =
       let* src = src_of_json j in
       let* id = str_field j "id" in
       let* fuel = num_field j "fuel" in
+      let* () =
+        match fuel with
+        | Some f when f <= 0 -> Error "field \"fuel\" must be positive"
+        | _ -> Ok ()
+      in
       let* sfi_base = num_field j "sfi_base" in
       let* sfi_size = num_field j "sfi_size" in
       Ok

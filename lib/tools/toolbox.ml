@@ -51,71 +51,80 @@ let of_exec ?(targets = fun () -> []) tool (exec : E.t) edited contract sites =
 
 (** [apply name mach exe] instruments [exe] with the named tool and
     packages the result for the oracle. [Error _] is reserved for unknown
-    tool names; tool failures propagate as the front end's structured
-    exceptions (callers run under {!Eel_robust.Diag.guard}).
+    tool names and a bad SFI segment; tool failures propagate as the front
+    end's structured exceptions (callers run under
+    {!Eel_robust.Diag.guard}).
 
-    [sfi_base]/[sfi_size] configure SFI's sandbox; the default segment
-    ([0, 64 MiB)) covers every address the emulator can reach in an oracle
-    run, making the clamp the identity — the right configuration for
-    equivalence checking, where the question is "does sandboxing change
-    anything it should not?". *)
+    [sfi_base]/[sfi_size] configure SFI's sandbox: the size must be a
+    positive power of two and the base a non-negative multiple of it. The
+    default segment ([0, 64 MiB)) covers every address the emulator can
+    reach in an oracle run, making the clamp the identity — the right
+    configuration for equivalence checking, where the question is "does
+    sandboxing change anything it should not?". *)
 let apply ?(sfi_base = 0) ?(sfi_size = 1 lsl 26) name mach exe :
     (applied, string) result =
-  match name with
-  | "qpt2" ->
-      let p = Qpt2.instrument mach exe in
-      Ok
-        (of_exec "qpt2" p.Qpt2.exec p.Qpt2.edited (Qpt2.contract p)
-           (List.length p.Qpt2.counters)
-           ~targets:(fun () -> Qpt2.fault_targets p))
-  | "oldqpt" ->
-      let p = Oldqpt.instrument exe in
-      (* oldqpt is not EEL-based: no Executable.t to anchor blocks or map
-         addresses, so its own rev_map stands in for both normalizers *)
-      let fwd = Hashtbl.create 64 in
-      Hashtbl.iter
-        (fun edited orig ->
-          if not (Hashtbl.mem fwd orig) then Hashtbl.add fwd orig edited)
-        p.Oldqpt.rev_map;
-      Ok
-        {
-          ap_tool = "oldqpt";
-          ap_edited = p.Oldqpt.edited;
-          ap_contract = Oldqpt.contract p;
-          ap_norm_b = Oldqpt.inverse_address_norm p;
-          ap_block_of = (fun _ -> None);
-          ap_sites = List.length p.Oldqpt.counters;
-          ap_edited_addr = (fun a -> Hashtbl.find_opt fwd a);
-          ap_targets = (fun () -> Oldqpt.fault_targets p);
-          ap_growth = [];
-        }
-  | "tracer" ->
-      let p = Tracer.instrument mach exe in
-      Ok
-        (of_exec "tracer" p.Tracer.exec p.Tracer.edited (Tracer.contract p)
-           p.Tracer.instrumented
-           ~targets:(fun () -> Tracer.fault_targets p))
-  | "sfi" ->
-      let p = Sfi.instrument mach exe ~seg_base:sfi_base ~seg_size:sfi_size in
-      Ok
-        (of_exec "sfi" p.Sfi.exec p.Sfi.edited (Sfi.contract p) p.Sfi.guarded
-           ~targets:(fun () -> Sfi.fault_targets p))
-  | "amemory" ->
-      let p = Amemory.instrument mach exe in
-      Ok
-        (of_exec "amemory" p.Amemory.exec p.Amemory.edited
-           (Amemory.contract p) p.Amemory.instrumented
-           ~targets:(fun () -> Amemory.fault_targets p))
-  | "optprof" ->
-      let p = Optprof.instrument mach exe in
-      Ok
-        (of_exec "optprof" p.Optprof.exec p.Optprof.edited
-           (Optprof.contract p) p.Optprof.n_counters
-           ~targets:(fun () -> Optprof.fault_targets p))
-  | _ ->
-      Error
-        (Printf.sprintf "unknown tool %s (expected one of: %s)" name
-           (String.concat ", " names))
+  if sfi_size <= 0 || sfi_size land (sfi_size - 1) <> 0 then
+    Error (Printf.sprintf "sfi_size %d is not a positive power of two" sfi_size)
+  else if sfi_base < 0 || sfi_base land (sfi_size - 1) <> 0 then
+    Error
+      (Printf.sprintf "sfi_base %d is not a non-negative multiple of sfi_size %d"
+         sfi_base sfi_size)
+  else
+    match name with
+    | "qpt2" ->
+        let p = Qpt2.instrument mach exe in
+        Ok
+          (of_exec "qpt2" p.Qpt2.exec p.Qpt2.edited (Qpt2.contract p)
+             (List.length p.Qpt2.counters)
+             ~targets:(fun () -> Qpt2.fault_targets p))
+    | "oldqpt" ->
+        let p = Oldqpt.instrument exe in
+        (* oldqpt is not EEL-based: no Executable.t to anchor blocks or map
+           addresses, so its own rev_map stands in for both normalizers *)
+        let fwd = Hashtbl.create 64 in
+        Hashtbl.iter
+          (fun edited orig ->
+            if not (Hashtbl.mem fwd orig) then Hashtbl.add fwd orig edited)
+          p.Oldqpt.rev_map;
+        Ok
+          {
+            ap_tool = "oldqpt";
+            ap_edited = p.Oldqpt.edited;
+            ap_contract = Oldqpt.contract p;
+            ap_norm_b = Oldqpt.inverse_address_norm p;
+            ap_block_of = (fun _ -> None);
+            ap_sites = List.length p.Oldqpt.counters;
+            ap_edited_addr = (fun a -> Hashtbl.find_opt fwd a);
+            ap_targets = (fun () -> Oldqpt.fault_targets p);
+            ap_growth = [];
+          }
+    | "tracer" ->
+        let p = Tracer.instrument mach exe in
+        Ok
+          (of_exec "tracer" p.Tracer.exec p.Tracer.edited (Tracer.contract p)
+             p.Tracer.instrumented
+             ~targets:(fun () -> Tracer.fault_targets p))
+    | "sfi" ->
+        let p = Sfi.instrument mach exe ~seg_base:sfi_base ~seg_size:sfi_size in
+        Ok
+          (of_exec "sfi" p.Sfi.exec p.Sfi.edited (Sfi.contract p) p.Sfi.guarded
+             ~targets:(fun () -> Sfi.fault_targets p))
+    | "amemory" ->
+        let p = Amemory.instrument mach exe in
+        Ok
+          (of_exec "amemory" p.Amemory.exec p.Amemory.edited
+             (Amemory.contract p) p.Amemory.instrumented
+             ~targets:(fun () -> Amemory.fault_targets p))
+    | "optprof" ->
+        let p = Optprof.instrument mach exe in
+        Ok
+          (of_exec "optprof" p.Optprof.exec p.Optprof.edited
+             (Optprof.contract p) p.Optprof.n_counters
+             ~targets:(fun () -> Optprof.fault_targets p))
+    | _ ->
+        Error
+          (Printf.sprintf "unknown tool %s (expected one of: %s)" name
+             (String.concat ", " names))
 
 (** {1 Measured application: apply + verify + overhead accounting} *)
 

@@ -790,6 +790,33 @@ let check_tiers_agree ?pokes name src =
     true (plain = profiled);
   plain
 
+(* The kernel the tier timers used to race, pinned by counts instead of
+   seconds: the predecode tier decodes each executed text word once (the
+   interpreter decodes every step), and the block tier, at its production
+   threshold, retires at least 90% of the instructions in compiled code. *)
+let test_tier_work () =
+  let exe = assemble_exe (Eel_workload.Gen.memory_bound ~iters:40 ~size_words:256 ()) in
+  let t, _ = load_tier ~tier:Tier2.Predecode exe in
+  let prof = Emu.create_profile () in
+  Emu.set_profile t (Some prof);
+  let r = Emu.run t in
+  let decoded =
+    Array.fold_left (fun n i -> if i != Emu.undecoded then n + 1 else n) 0 t.Emu.code
+  in
+  Alcotest.(check int) "decoded slots = distinct pcs run"
+    (Hashtbl.length prof.Emu.p_pc_counts) decoded;
+  Alcotest.(check bool) "the loop ran" true (r.Emu.insns > 100 * decoded);
+  let t = Emu.load exe in
+  match Tier2.attach t with
+  | None -> Alcotest.fail "tier-2 engine failed to attach"
+  | Some eng ->
+      let r = Emu.run t in
+      let interp = (Tier2.stats eng).Tier2.st_interp_steps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d of %d instructions outside compiled blocks" interp r.Emu.insns)
+        true
+        (10 * interp <= r.Emu.insns)
+
 let test_tier_parity () =
   (* a spread of control shapes; each must actually run compiled code *)
   let jump_table_src =
@@ -1398,6 +1425,8 @@ let () =
       ( "tier2",
         [
           Alcotest.test_case "three-tier parity" `Quick test_tier_parity;
+          Alcotest.test_case "kernel decodes once, runs compiled" `Quick
+            test_tier_work;
           Alcotest.test_case "osr at every block boundary" `Quick
             test_tier_osr_boundaries;
           Alcotest.test_case "self-modify invalidates blocks" `Quick

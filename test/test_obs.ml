@@ -489,111 +489,116 @@ let test_trace_check_exports () =
 (* perf-regression gate                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The gate's decision is unit-tested on synthetic numbers: remeasuring
-   the machine within a tolerance made this test fail in a third to a
-   half of full runs. One subprocess run checks the binary itself. *)
+(* The pair gate's decision on synthetic pair tables. A real gate run
+   takes minutes (`make perf-regress`), so only its parts are run here. *)
 
 module Gate = Perf_gate
 
-let gate_base ?(block = Some 3.0) ?(cores = 2) ?(points = []) () =
-  {
-    Gate.b_cores = cores;
-    b_speedup = 2.0;
-    b_speedup_block = block;
-    b_mips_on = 40.;
-    b_points = points;
-  }
+let gate_run values = { Gate.correct = true; attempted = 10; failed = 0; values }
 
-let gate_fresh ~speedup ~block =
-  { Gate.f_speedup = speedup; f_speedup_block = block; f_mips_on = 40. }
+(* one metric of cold_mixed over [(parent, change)] pairs *)
+let gate_rows ?(higher = true) ?(name = "jobs_per_s") prs =
+  Gate.rows
+    [ { Gate.m_name = name; m_higher = higher; m_bound = 0.25 } ]
+    [
+      ( "cold_mixed",
+        List.map (fun (p, c) -> (gate_run [ (name, p) ], gate_run [ (name, c) ])) prs );
+    ]
 
-let test_perf_gate () =
-  let base = gate_base () in
-  let failures f = Gate.failures (Gate.throughput_checks ~tol:0.12 base f) in
-  (* a remeasure 5% below the baseline is inside the default gate *)
-  Alcotest.(check (list string))
-    "gate passes a remeasure inside the tolerance" []
-    (failures (gate_fresh ~speedup:1.9 ~block:2.85));
-  (* EEL_PERF_HANDICAP=1.35 multiplies the predecode time by 1.35: the
-     predecode speedup drops 26% and the block speedup rises *)
-  Alcotest.(check (list string))
-    "gate fails on seeded regression"
-    [ "throughput speedup vs baseline" ]
-    (failures (gate_fresh ~speedup:(2.0 /. 1.35) ~block:(3.0 *. 1.35)));
-  (* the binary: one gate run against a baseline every working tree
-     clears (both speedups 1.0, i.e. only the absolute invariants) exits
-     0 and appends one trajectory-history line *)
-  let regress =
-    Filename.concat (Filename.dirname Sys.executable_name)
-      "../bench/regress.exe"
+let gate_fails ?higher ?name prs = Gate.failures (gate_rows ?higher ?name prs) []
+let six p c = List.init 6 (fun i -> (p +. float_of_int i, c +. float_of_int i))
+
+let test_perf_gate_decision () =
+  let fails what expect ?higher ?name prs =
+    Alcotest.(check (list string)) what expect (gate_fails ?higher ?name prs)
   in
-  let base = Filename.temp_file "eel_perf" ".json" in
-  let hist = Filename.temp_file "eel_perf" ".jsonl" in
-  let oc = open_out base in
-  output_string oc
-    {|{"cores": 1, "throughput": {"speedup": 1.0, "speedup_block": 1.0, "predecode_on": {"mips": 1.0}}}|};
-  close_out oc;
-  Alcotest.(check int) "gate run exits 0" 0
-    (Sys.command
-       (Printf.sprintf
-          "EEL_PERF_BUDGET=smoke EEL_PERF_HISTORY=%s EEL_PERF_BASELINE=%s %s > /dev/null 2>&1"
-          (Filename.quote hist) (Filename.quote base) (Filename.quote regress)));
-  let ic = open_in hist in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  close_in ic;
-  (match !lines with
-  | [ l ] -> (
-      match Json.parse l with
-      | Ok j ->
-          Alcotest.(check bool)
-            "history line records the pass" true
-            (Json.member "pass" j = Some (Json.Bool true))
-      | Error m -> Alcotest.failf "history line is not JSON: %s" m)
-  | ls -> Alcotest.failf "expected one history line, got %d" (List.length ls));
-  Sys.remove base;
-  Sys.remove hist
+  fails "noise within the bound passes" []
+    [ (100., 95.); (100., 104.); (98., 91.); (102., 108.); (101., 97.); (99., 103.) ];
+  fails "6/6 lost, 33% slower fails" [ "cold_mixed jobs_per_s" ] (six 100. 67.);
+  fails "6/6 lost, 20% slower passes" [] (six 100. 80.);
+  (* parent median 100, change 70, but the change won two pairs *)
+  fails "30% slower, 4/6 lost passes" []
+    [ (100., 70.); (100., 70.); (100., 70.); (100., 70.); (60., 70.); (60., 70.) ];
+  fails "p90 33% higher fails" [ "cold_mixed latency_p90_ms" ] ~higher:false
+    ~name:"latency_p90_ms" (six 20. 26.7);
+  fails "p90 33% lower passes" [] ~higher:false ~name:"latency_p90_ms" (six 20. 13.3);
+  (* 40% worse in median, but two of the six pairs tie *)
+  fails "ties count for neither side" []
+    [ (100., 100.); (100., 100.); (100., 60.); (100., 60.); (100., 60.); (100., 60.) ];
+  match gate_rows (List.init 6 (fun _ -> (1.8, 1.8))) with
+  | [ r ] ->
+      Alcotest.(check (pair int int)) "identical runs: 0 won, 0 lost" (0, 0)
+        (r.Gate.r_won, r.Gate.r_lost)
+  | rs -> Alcotest.failf "expected one row, got %d" (List.length rs)
 
-let test_perf_gate_pre_block () =
-  let checks =
-    Gate.throughput_checks ~tol:0.12 (gate_base ~block:None ())
-      (gate_fresh ~speedup:2.0 ~block:1.5)
+let test_perf_gate_checks () =
+  let jobs v = gate_run [ ("jobs_per_s", v) ] in
+  let table cold warm =
+    [
+      ("cold_mixed", List.map (fun v -> (jobs v, jobs v)) cold);
+      ("warm_mixed", List.map (fun v -> (jobs v, jobs v)) warm);
+    ]
   in
-  Alcotest.(check (list string)) "passes" [] (Gate.failures checks);
-  Alcotest.(check bool)
-    "tier-2 check skipped" true
-    (List.exists
-       (fun c ->
-         c.Gate.c_name = "tier-2 speedup vs baseline" && c.Gate.c_verdict = Gate.Skip)
-       checks)
+  let ok c = c.Gate.c_ok in
+  Alcotest.(check bool) "warm 18x cold passes" true
+    (ok (Gate.warm_check (table [ 90.; 100.; 110. ] [ 1700.; 1800.; 1900. ])));
+  Alcotest.(check bool) "warm 2.9x cold fails" false
+    (ok (Gate.warm_check (table [ 90.; 100.; 110. ] [ 280.; 290.; 300. ])));
+  Alcotest.(check bool) "no warm runs fails" false (ok (Gate.warm_check [ ("cold_mixed", []) ]));
+  let mips block predecode =
+    Gate.tier_check
+      (gate_run [ ("emu.run.mips_block", block); ("emu.run.mips_predecode", predecode) ])
+  in
+  Alcotest.(check bool) "block above predecode passes" true (ok (mips 114. 40.7));
+  Alcotest.(check bool) "block below predecode fails" false (ok (mips 39. 40.7));
+  Alcotest.(check bool) "untraced run fails" false (ok (Gate.tier_check (gate_run [])));
+  Alcotest.(check (list string)) "a failed check fails the gate"
+    [ "long_run mips_block >= mips_predecode" ]
+    (Gate.failures [] [ mips 114. 40.7; mips 39. 40.7 ])
 
-let test_perf_gate_scaling_skip () =
-  let point ?(contended = false) j s =
-    { Gate.bp_jobs = j; bp_speedup = s; bp_contended = contended }
-  in
-  let points = [ point 1 1.0; point 2 1.8 ] in
-  let skips ~cores base = Gate.scaling_skip ~cores ~skip:false base <> None in
-  Alcotest.(check bool)
-    "1-core machine skips" true
-    (skips ~cores:1 (gate_base ~points ()));
-  Alcotest.(check bool)
-    "1-core baseline skips" true
-    (skips ~cores:4 (gate_base ~cores:1 ~points ()));
-  Alcotest.(check bool)
-    "contended baseline skips" true
-    (skips ~cores:4 (gate_base ~cores:4 ~points:[ point 1 1.0; point ~contended:true 8 0.6 ] ()));
-  let base = gate_base ~cores:4 ~points () in
-  Alcotest.(check bool) "multicore baseline runs" false (skips ~cores:4 base);
-  Alcotest.(check (list int)) "sweeps the points that fit" [ 1; 2 ]
-    (Gate.scaling_jobs ~cores:4 base);
-  Alcotest.(check (list string))
-    "scaling within 25% passes, below fails"
-    [ "scaling speedup at 2 domains" ]
-    (Gate.failures (Gate.scaling_checks base [ (1, 0.9); (2, 1.3) ]))
+(* a jobbench result line as `jobbench/run.py --trace 0` prints it *)
+let jobbench_line =
+  {|{"correct": true, "attempted": 83, "failed": 0, "metrics": {"jobs_per_s": {"value": 87.698315195485691, "unit": "1/s"}, "latency_p50_ms": {"value": 9.2389583587646484, "unit": "ms"}, "latency_p90_ms": {"value": 21.734189987182617, "unit": "ms"}, "setup_s": {"value": 0.048521995544433594, "unit": "s"}, "edited_insns_ratio": {"value": 1.8353247899885572, "unit": "ratio"}, "edited_bytes_ratio": {"value": 30.050804643916237, "unit": "ratio"}}}|}
+
+let test_perf_gate_io () =
+  (match Gate.parse_run jobbench_line with
+  | Ok r ->
+      Alcotest.(check (triple bool int int)) "status" (true, 83, 0)
+        (r.Gate.correct, r.Gate.attempted, r.Gate.failed);
+      Alcotest.(check (option (float 1e-9))) "jobs_per_s" (Some 87.698315195485691)
+        (Gate.value "jobs_per_s" r);
+      Alcotest.(check int) "six metrics" 6 (List.length r.Gate.values)
+  | Error m -> Alcotest.failf "result line rejected: %s" m);
+  Alcotest.(check bool) "a truncated line is an error" true
+    (Result.is_error (Gate.parse_run (String.sub jobbench_line 0 60)));
+  let spec = In_channel.with_open_bin "../BENCHMARK.json" In_channel.input_all in
+  (match Gate.parse_spec spec with
+  | Ok (workloads, metrics) ->
+      Alcotest.(check (list string)) "workloads"
+        [ "cold_mixed"; "warm_mixed"; "long_run"; "edit_only" ] workloads;
+      Alcotest.(check (list (pair string bool)))
+        "directions"
+        [
+          ("jobs_per_s", true); ("latency_p50_ms", false); ("latency_p90_ms", false);
+          ("setup_s", false); ("edited_insns_ratio", false); ("edited_bytes_ratio", false);
+        ]
+        (List.map (fun m -> (m.Gate.m_name, m.Gate.m_higher)) metrics)
+  | Error m -> Alcotest.failf "BENCHMARK.json rejected: %s" m);
+  let rows = gate_rows (six 100. 67.) in
+  match
+    Json.parse
+      (Gate.to_json ~parent:"p" ~change:"c" ~machine:"m \"x\"" ~cores:2 ~wall_s:1. rows
+         [ Gate.tier_check (gate_run []) ])
+  with
+  | Ok j ->
+      let path keys = List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) keys in
+      Alcotest.(check bool) "pass recorded" true (path [ "pass" ] = Some (Json.Bool false));
+      Alcotest.(check bool) "median recorded" true
+        (path [ "workloads"; "cold_mixed"; "jobs_per_s"; "change"; "median" ]
+        = Some (Json.Num 69.5));
+      Alcotest.(check bool) "pairs lost recorded" true
+        (path [ "workloads"; "cold_mixed"; "jobs_per_s"; "lost" ] = Some (Json.Num 6.))
+  | Error m -> Alcotest.failf "gate JSON does not parse: %s" m
 
 (* ------------------------------------------------------------------ *)
 (* eel_objdump --trace, end to end                                     *)
@@ -938,12 +943,12 @@ let () =
         ] );
       ( "perf-gate",
         [
-          Alcotest.test_case "pass, seeded regression, history" `Quick
-            test_perf_gate;
-          Alcotest.test_case "baseline before the block tier skips its check"
-            `Quick test_perf_gate_pre_block;
-          Alcotest.test_case "1-core or contended baseline skips scaling"
-            `Quick test_perf_gate_scaling_skip;
+          Alcotest.test_case "decision: bound, pairs, direction" `Quick
+            test_perf_gate_decision;
+          Alcotest.test_case "checks on the change alone" `Quick
+            test_perf_gate_checks;
+          Alcotest.test_case "result line, spec and JSON report" `Quick
+            test_perf_gate_io;
         ] );
       ( "tools",
         [

@@ -381,7 +381,22 @@ let test_corpus_byte_identity () =
               (r.Serve.sr_id ^ ": served image == direct measure")
               (Digest.string (Sef.to_string ms.Toolbox.ms_applied.Toolbox.ap_edited))
               (Digest.string (edited r)))
-      cold
+      cold;
+  (* the generated mixed jobs, warm through a fresh directory-backed
+     cache, as a restarted daemon sees it: every hit crosses the disk *)
+  with_temp_dir @@ fun dir ->
+  let mixed = Serve.mixed_jobs ~count:100 ~seed:42 in
+  let run () = Serve.run_batch ~jobs:1 (Serve.default_config (Cache.create ~dir ())) mixed in
+  let cold = run () in
+  let warm = run () in
+  check_int "every mixed job equivalent" 100 (List.length (List.filter Serve.ok cold));
+  check_bool "a restarted daemon serves every job from disk" true
+    (List.for_all Serve.cached warm);
+  List.iter2
+    (fun c w ->
+      if edited c <> edited w then
+        Alcotest.fail (c.Serve.sr_id ^ ": disk hit diverged from miss"))
+    cold warm
 
 (* Same bar for the analysis cache alone: with the result cache off, warm
    jobs really re-instrument and re-verify, but their CFGs build from
@@ -534,7 +549,93 @@ let test_proto_parse () =
   ignore (err {|{"tool": "qpt2"}|});
   ignore (err {|{"tool": "qpt2", "corpus": "fib", "file": "x.sef"}|});
   ignore (err {|{"tool": "qpt2", "sef_hex": "abc"}|});
-  ignore (err {|{"tool": "qpt2", "gen": {"style": "msvc"}}|})
+  ignore (err {|{"tool": "qpt2", "gen": {"style": "msvc"}}|});
+  (* integers a double does not hold exactly, and fuel that runs nothing *)
+  check_bool "2^53 accepted" true
+    ((ok {|{"tool": "qpt2", "corpus": "fib", "fuel": 9007199254740992}|}).Proto.j_fuel
+    = Some (1 lsl 53));
+  List.iter
+    (fun line -> ignore (err line))
+    [
+      {|{"tool": "qpt2", "corpus": "fib", "fuel": 1e300}|};
+      {|{"tool": "qpt2", "corpus": "fib", "fuel": 9007199254740994}|};
+      {|{"tool": "sfi", "corpus": "fib", "sfi_base": -1e300}|};
+      {|{"tool": "qpt2", "corpus": "fib", "fuel": 0}|};
+      {|{"tool": "qpt2", "corpus": "fib", "fuel": -5}|};
+    ]
+
+let fib_job ?sfi_base ?sfi_size id tool =
+  {
+    Proto.j_id = id;
+    j_tool = tool;
+    j_src = Proto.S_corpus "fib";
+    j_fuel = None;
+    j_sfi_base = sfi_base;
+    j_sfi_size = sfi_size;
+  }
+
+(* A bad SFI segment is that job's error; the rest of the batch runs. *)
+let test_bad_sfi_segment () =
+  let batch =
+    [
+      fib_job "good" "qpt2";
+      fib_job ~sfi_size:3 "size-3" "sfi";
+      fib_job ~sfi_size:0 "size-0" "sfi";
+      fib_job ~sfi_base:4 ~sfi_size:4096 "misaligned" "sfi";
+      fib_job ~sfi_base:(-4096) ~sfi_size:4096 "negative" "sfi";
+    ]
+  in
+  match Serve.run_batch ~jobs:1 (Serve.default_config (Cache.create ())) batch with
+  | good :: bad ->
+      check_bool "the good job is equivalent" true (Serve.ok good);
+      List.iter
+        (fun r -> check_bool (r.Serve.sr_id ^ " is an error") true (Result.is_error r.Serve.sr_outcome))
+        bad
+  | [] -> Alcotest.fail "no results"
+
+(* The daemon answers every line of a stream holding bad jobs, in input
+   order, and exits 1 without a backtrace. *)
+let test_serve_bad_lines () =
+  with_temp_dir @@ fun dir ->
+  let path name = Filename.concat dir name in
+  Out_channel.with_open_bin (path "jobs.jsonl") (fun oc ->
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [
+          {|{"id": "good", "tool": "qpt2", "corpus": "fib"}|};
+          {|{"id": "fuel", "tool": "qpt2", "corpus": "fib", "fuel": 1e300}|};
+          {|{"id": "bad", "tool": "sfi", "corpus": "fib", "sfi_size": 3}|};
+        ]);
+  let serve = Filename.concat (Filename.dirname Sys.executable_name) "../bin/eel_serve.exe" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "%s < %s > %s 2> %s" (Filename.quote serve)
+         (Filename.quote (path "jobs.jsonl"))
+         (Filename.quote (path "out"))
+         (Filename.quote (path "err")))
+  in
+  let read name = In_channel.with_open_bin (path name) In_channel.input_all in
+  check_int "exit 1" 1 rc;
+  let ids =
+    List.filter_map
+      (fun l ->
+        match Eel_obs.Json.parse l with
+        | Ok j -> (
+            match (Eel_obs.Json.member "id" j, Eel_obs.Json.member "ok" j) with
+            | Some (Eel_obs.Json.Str id), Some (Eel_obs.Json.Bool ok) -> Some (id, ok)
+            | _ -> None)
+        | Error _ -> None)
+      (String.split_on_char '\n' (String.trim (read "out")))
+  in
+  Alcotest.(check (list (pair string bool)))
+    "one response per line, in input order"
+    [ ("good", true); ("job-2", false); ("bad", false) ]
+    ids;
+  let err = read "err" in
+  check_bool "no backtrace" false
+    (List.exists
+       (fun l -> String.starts_with ~prefix:"Raised" l || String.starts_with ~prefix:"Fatal" l)
+       (String.split_on_char '\n' err))
 
 let test_proto_roundtrip () =
   List.iter
@@ -593,5 +694,7 @@ let () =
         [
           Alcotest.test_case "parse" `Quick test_proto_parse;
           Alcotest.test_case "roundtrip" `Quick test_proto_roundtrip;
+          Alcotest.test_case "bad SFI segment" `Quick test_bad_sfi_segment;
+          Alcotest.test_case "eel_serve answers bad lines" `Quick test_serve_bad_lines;
         ] );
     ]
