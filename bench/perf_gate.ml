@@ -14,6 +14,8 @@
 
 module Json = Eel_obs.Json
 
+(* 6 pairs of 3 s runs take about 5 minutes, inside a 10-minute CI step;
+   a slowdown past a bound must lose 5 of them, which noise rarely does *)
 let pairs = 6
 let seconds = 3
 let seed = 11

@@ -852,11 +852,10 @@ let env_sweep ~seed ~fuel () : int * int =
   let trials = ref 0 and crashes = ref 0 in
   let guard f =
     incr trials;
-    try ignore (f ()) with
-    | exn ->
-        incr crashes;
-        Printf.eprintf "env trial %d crashed: %s\n%!" !trials
-          (Printexc.to_string exn)
+    try ignore (f ())
+    with exn ->
+      incr crashes;
+      Printf.eprintf "env trial %d crashed: %s\n%!" !trials (Printexc.to_string exn)
   in
   let progs = Corpus.all () in
   let exe = List.assoc matrix_prog progs in

@@ -243,12 +243,12 @@ let run_batch ?jobs (cfg : config) (batch : Proto.job list) : result list =
 
 (* ---- the standard mixed corpus ---- *)
 
-(** The deterministic mixed job corpus ([eel_batch] and the serve bench
-    experiment share it): every corpus program (base and OS-mode) plus a
-    spread of generated workloads (both compiler styles and the OS
-    generator, varying sizes), crossed with all 6 tools by a stride
-    coprime to the source count so neighbouring jobs differ in both tool
-    and program. Fully determined by [(count, seed)]. *)
+(** The deterministic mixed job corpus ([eel_batch], the job benchmark's
+    mixed workloads and test_serve share it): every corpus program (base
+    and OS-mode) plus a spread of generated workloads (both compiler
+    styles and the OS generator, varying sizes), crossed with all 6 tools
+    by a stride coprime to the source count so neighbouring jobs differ
+    in both tool and program. Fully determined by [(count, seed)]. *)
 let mixed_jobs ~count ~seed =
   let gen_variants =
     List.init 9 (fun g ->

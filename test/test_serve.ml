@@ -29,6 +29,7 @@ module Analysis = Eel_service.Analysis
 module Proto = Eel_service.Proto
 module Serve = Eel_service.Serve
 module Pool = Eel_util.Pool
+module Json = Eel_obs.Json
 
 let mach = Eel_sparc.Mach.mach
 let check_int = Alcotest.(check int)
@@ -617,14 +618,11 @@ let test_serve_bad_lines () =
   let read name = In_channel.with_open_bin (path name) In_channel.input_all in
   check_int "exit 1" 1 rc;
   let ids =
-    List.filter_map
+    List.map
       (fun l ->
-        match Eel_obs.Json.parse l with
-        | Ok j -> (
-            match (Eel_obs.Json.member "id" j, Eel_obs.Json.member "ok" j) with
-            | Some (Eel_obs.Json.Str id), Some (Eel_obs.Json.Bool ok) -> Some (id, ok)
-            | _ -> None)
-        | Error _ -> None)
+        match Result.map (fun j -> (Json.member "id" j, Json.member "ok" j)) (Json.parse l) with
+        | Ok (Some (Json.Str id), Some (Json.Bool ok)) -> (id, ok)
+        | _ -> Alcotest.failf "not a response: %s" l)
       (String.split_on_char '\n' (String.trim (read "out")))
   in
   Alcotest.(check (list (pair string bool)))
