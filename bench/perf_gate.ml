@@ -14,11 +14,16 @@
 
 module Json = Eel_obs.Json
 
-(* 6 pairs of 3 s runs take about 5 minutes, inside a 10-minute CI step;
-   a slowdown past a bound must lose 5 of them, which noise rarely does *)
+(* 6 pairs take about 6 minutes, inside a 10-minute CI step; a slowdown
+   past a bound must lose 5 of them, which noise rarely does *)
 let pairs = 6
-let seconds = 3
 let seed = 11
+
+(** Each workload's run length, in seconds: long enough that a run holds
+    at least 100 timed jobs, so its p90 has ten samples beyond it.
+    long_run serves about 25 jobs/s and edit_only about 20; at 3 s their
+    p90s rested on five or six samples and gave false failures. *)
+let seconds = function "long_run" -> 6 | "edit_only" -> 8 | _ -> 3
 let min_lost = 5
 let warm_over_cold = 3.0
 
@@ -101,10 +106,12 @@ type row = {
   r_won : int;  (** pairs where the change was better *)
   r_lost : int;  (** pairs where the change was worse *)
   r_fail : bool;
+  r_jobs : (int * int) list;  (** jobs each pair's (parent, change) run attempted *)
 }
 
-(** Judge metric [m] of [workload] on its [(parent, change)] pairs. *)
-let judge ~workload m prs =
+(** Judge metric [m] of [workload] on its [(parent, change)] pairs; [jobs]
+    is what each pair's runs attempted. *)
+let judge ~workload ~jobs m prs =
   let better a b = if m.m_higher then a > b else a < b in
   let count f = List.length (List.filter (fun (p, c) -> f p c) prs) in
   let p = spread (List.map fst prs) and c = spread (List.map snd prs) in
@@ -120,6 +127,7 @@ let judge ~workload m prs =
     r_won = count (fun p c -> better c p);
     r_lost = lost;
     r_fail = worse > m.m_bound && lost >= min_lost;
+    r_jobs = jobs;
   }
 
 (** A workload's runs, as [(parent, change)] pairs. *)
@@ -135,7 +143,9 @@ let rows metrics (table : table) =
           let v r = List.assoc m.m_name r.values in
           match List.map (fun (p, c) -> (v p, v c)) prs with
           | [] | (exception Not_found) -> None
-          | vs -> Some (judge ~workload m vs))
+          | vs ->
+              let jobs = List.map (fun (p, c) -> (p.attempted, c.attempted)) prs in
+              Some (judge ~workload ~jobs m vs))
         metrics)
     table
 
@@ -183,10 +193,21 @@ let sig3 x =
     let e = int_of_float (Float.floor (Float.log10 (Float.abs x))) in
     Printf.sprintf "%.*f" (max 0 (2 - e)) x
 
-(** The pair table as Markdown, in the layout of EXPERIMENTS.md. *)
+(* Each workload's first row: they all carry the same runs. *)
+let per_workload rows =
+  let rec go seen = function
+    | [] -> []
+    | r :: rest ->
+        if List.mem r.r_workload seen then go seen rest else r :: go (r.r_workload :: seen) rest
+  in
+  go [] rows
+
+(** The pair table as Markdown, in the layout of EXPERIMENTS.md, then
+    each run's length and job count (jobs attempted, set-up included). *)
 let table_lines rows =
   let cell s = Printf.sprintf "%s [%s–%s]" (sig3 s.median) (sig3 s.q1) (sig3 s.q3) in
-  "| workload/seed | metric | parent | change | change/parent | won |"
+  let counts f r = String.concat " " (List.map (fun pc -> string_of_int (f pc)) r.r_jobs) in
+  ("| workload/seed | metric | parent | change | change/parent | won |"
   :: "|---|---|---|---|---|---|"
   :: List.map
        (fun r ->
@@ -196,7 +217,15 @@ let table_lines rows =
             else Printf.sprintf "%.3f" (r.r_change.median /. r.r_parent.median))
            r.r_won pairs
            (if r.r_fail then " FAIL" else ""))
-       rows
+       rows)
+  @ ""
+    :: "| workload | run | parent jobs per run | change jobs per run |"
+    :: "|---|---|---|---|"
+    :: List.map
+         (fun r ->
+           Printf.sprintf "| %s | %d s | %s | %s |" r.r_workload (seconds r.r_workload)
+             (counts fst r) (counts snd r))
+         (per_workload rows)
 
 (** The gate run as JSON: both commits, the machine, and per workload x
     metric each side's median/q1/q3 and the pairs the change won and lost. *)
@@ -210,25 +239,27 @@ let to_json ~parent ~change ~machine ~cores ~wall_s rows checks =
       (if r.r_metric.m_higher then "higher" else "lower")
       r.r_metric.m_bound (spread r.r_parent) (spread r.r_change) r.r_won r.r_lost r.r_fail
   in
+  let ints l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]" in
   let workload w =
-    Printf.sprintf "\"%s\": {\n   %s}" (q w)
-      (String.concat ",\n   " (List.map metric (List.filter (fun r -> r.r_workload = w) rows)))
+    Printf.sprintf "\"%s\": {\n   \"seconds\": %d, \"jobs\": {\"parent\": %s, \"change\": %s},\n   %s}"
+      (q w.r_workload) (seconds w.r_workload)
+      (ints (List.map fst w.r_jobs))
+      (ints (List.map snd w.r_jobs))
+      (String.concat ",\n   "
+         (List.map metric (List.filter (fun r -> r.r_workload = w.r_workload) rows)))
   in
   let check c =
     Printf.sprintf {|{"name": "%s", "pass": %b, "detail": "%s"}|} (q c.c_name) c.c_ok (q c.c_detail)
   in
-  let workloads =
-    List.fold_right (fun r ws -> if List.mem r.r_workload ws then ws else r.r_workload :: ws) rows []
-  in
   Printf.sprintf
     {|{"parent": "%s", "change": "%s", "machine": "%s", "cores": %d,
- "seed": %d, "seconds": %d, "pairs": %d, "min_lost": %d, "wall_s": %.1f, "pass": %b,
+ "seed": %d, "pairs": %d, "min_lost": %d, "wall_s": %.1f, "pass": %b,
  "workloads": {
   %s},
  "checks": [
   %s]}
 |}
-    (q parent) (q change) (q machine) cores seed seconds pairs min_lost wall_s
+    (q parent) (q change) (q machine) cores seed pairs min_lost wall_s
     (failures rows checks = [])
-    (String.concat ",\n  " (List.map workload workloads))
+    (String.concat ",\n  " (List.map workload (per_workload rows)))
     (String.concat ",\n  " (List.map check checks))

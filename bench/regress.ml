@@ -102,14 +102,16 @@ let () =
   if git [ "worktree"; "add"; "--quiet"; "--detach"; wt; parent ] = None then
     die 2 "cannot check out the parent %s" parent;
   at_exit drop;
-  say "parent %s, change %s; %d pairs of %d s runs per workload, seed %d" parent change
-    Gate.pairs Gate.seconds Gate.seed;
+  say "parent %s, change %s; %d pairs of runs per workload (%s), seed %d" parent change
+    Gate.pairs
+    (String.concat ", " (List.map (fun w -> Printf.sprintf "%s %d s" w (Gate.seconds w)) workloads))
+    Gate.seed;
   let bench side ~fail ?(trace = 0) workload =
     let code, out =
       capture
         [|
           "python3"; Filename.concat side "jobbench/run.py"; "--workload"; workload;
-          "--seed"; string_of_int Gate.seed; "--seconds"; string_of_int Gate.seconds;
+          "--seed"; string_of_int Gate.seed; "--seconds"; string_of_int (Gate.seconds workload);
           "--trace"; string_of_int trace;
         |]
     in
@@ -137,7 +139,8 @@ let () =
         in
         Hashtbl.add runs w (p, c);
         let jobs r = Option.value (Gate.value "jobs_per_s" r) ~default:nan in
-        say "pair %d/%d %-10s parent %8.2f  change %8.2f jobs/s" i Gate.pairs w (jobs p) (jobs c))
+        say "pair %d/%d %-10s parent %8.2f jobs/s (%d jobs)  change %8.2f jobs/s (%d jobs)" i
+          Gate.pairs w (jobs p) p.Gate.attempted (jobs c) c.Gate.attempted)
       workloads
   done;
   let table = List.map (fun w -> (w, List.rev (Hashtbl.find_all runs w))) workloads in

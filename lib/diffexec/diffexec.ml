@@ -109,14 +109,18 @@ type run = {
     profile-identical to the interpreter (the test suite pins this
     corpus-wide, tool edits included), so profiled runs execute compiled
     code too; the engine itself falls back to tier-1 while a poke plan
-    is armed, so callers need not care. *)
+    is armed, so callers need not care.
+
+    The load and the run are traced as [emu.load] and [emu.run]. The
+    run's [r_mem] is the caller's: [execute] never {!Emu.recycle}s it. *)
 let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
     ?(tier = Tier2.Block) ?(pokes = []) ?os (exe : Sef.t) :
     (run, Diag.error) result =
   let predecode = tier <> Tier2.Interp in
   match
-    try Ok (Emu.load ?headroom ~predecode exe)
-    with Emu.Fault m -> Error (Diag.Exe_error { what = "emulator load: " ^ m })
+    Trace.with_span "emu.load" (fun () ->
+        try Ok (Emu.load ?headroom ~predecode exe)
+        with Emu.Fault m -> Error (Diag.Exe_error { what = "emulator load: " ^ m }))
   with
   | Error e -> Error e
   | Ok t ->
@@ -138,10 +142,11 @@ let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
       | Some keep -> Emu.set_obs_filter t (Some (fun ev -> keep t ev)));
       if pokes <> [] then Emu.set_pokes t pokes;
       let stop =
-        match Emu.run ~fuel t with
-        | r -> S_exit r.Emu.exit_code
-        | exception Emu.Fault m -> S_fault m
-        | exception Emu.Out_of_fuel -> S_fuel
+        Trace.with_span "emu.run" (fun () ->
+            match Emu.run ~fuel t with
+            | r -> S_exit r.Emu.exit_code
+            | exception Emu.Fault m -> S_fault m
+            | exception Emu.Out_of_fuel -> S_fuel)
       in
       Ok
         {
@@ -500,6 +505,13 @@ let equalized_headroom a b =
   let top = max ha hb + Emu.default_headroom in
   (top - ha, top - hb)
 
+(* The image-level oracles below hand each run's memory back
+   ({!Emu.recycle}) once nothing reads it, so the next job's loads on this
+   domain reuse it. *)
+let recycle (a : run) (b : run) =
+  Emu.recycle a.r_mem;
+  Emu.recycle b.r_mem
+
 (** [compare_images ?fuel ?limit ?norm_b ?block_of a b] runs two arbitrary
     images under the shared fuel budget and compares their observable
     behaviour. Used directly by the fuzz driver (mutant vs. its own no-op
@@ -515,6 +527,7 @@ let compare_images ?fuel ?limit ?norm_b ?block_of (a : Sef.t) (b : Sef.t) :
       | Error e -> Error e
       | Ok rb ->
           let rp = compare_runs ?norm_b ?block_of ra rb in
+          recycle ra rb;
           publish rp;
           Ok rp)
 
@@ -567,6 +580,7 @@ let identity_roundtrip ?fuel ?limit ?diag ?budget ~mach (exe : Sef.t) :
           | Error e -> Error e
           | Ok rb ->
               let rp = compare_runs ~norm_b ~block_of ra rb in
+              recycle ra rb;
               publish rp;
               Ok rp))
 
@@ -726,6 +740,7 @@ let verify_edit ?fuel ?limit ?(norm_b = fun v -> v) ?block_of ?pokes_b
                     })
             | _ -> rp
           in
+          recycle ra rb;
           publish ~prefix:"eel.equiv" rp;
           Metrics.incr ~by:rb.r_filtered
             (Metrics.counter "eel.equiv.masked_events");

@@ -445,6 +445,13 @@ let publish_profile ?(prefix = "emu") p =
 
 type t = {
   mem : Bytes.t;
+      (** the machine's memory, addresses [[0, size)]. It may be longer
+          than [size] when {!load} took a recycled buffer; nothing reads
+          or writes past [size]. *)
+  size : int;
+      (** the address-space size: every bound check (accesses, fetch,
+          syscall buffers, brk, pokes) reads this, never
+          [Bytes.length mem] *)
   regs : int array;  (** 34 entries: 32 GPRs + icc + y *)
   mutable pc : int;
   mutable npc : int;
@@ -465,15 +472,22 @@ type t = {
   mutable profile : profile option;
   mutable text_lo : int;
   mutable text_hi : int;
-  code : Insn.t array;
-      (** the predecode table: one slot per word of the text span, indexed
-          by [(pc - code_lo) / 4]; [[||]] when predecoding is off (or the
-          text geometry ruled it out). A slot is decoded the first time it
-          is fetched; until then it holds a shared "not decoded" sentinel,
-          so read it only through {!code_insn}. Kept coherent with [mem] by
-          {!invalidate_code}: a store landing on a decoded word resets it to
-          the sentinel, so self-modifying code behaves exactly as the
-          decode-per-step path. *)
+  code : Insn.t array array;
+      (** the predecode table, paged: slot [idx = (pc - code_lo) / 4] of
+          the text span lives at [code.(idx / page_slots).(idx mod
+          page_slots)], one page per 4 KB of text; [[||]] when predecoding
+          is off (or the text geometry ruled it out). Every page starts as
+          the shared, never-written {!empty_page}; a page of its own is
+          allocated the first time a word in it is decoded, so a load costs
+          one pointer per page, not one slot per word. A slot is decoded
+          the first time it is fetched; until then it holds the
+          {!undecoded} sentinel, so read it only through {!code_insn}.
+          Kept coherent with [mem] by {!invalidate_code}: a store landing
+          on a decoded word resets it to the sentinel, so self-modifying
+          code behaves exactly as the decode-per-step path. *)
+  code_slots : int;
+      (** the text span in words: slot indices run over [[0, code_slots)];
+          0 when predecoding is off *)
   code_lo : int;  (** base address of [code]; meaningless when empty *)
   mutable pokes : poke list;
       (** pending environment faults, sorted by [pk_at]; see {!set_pokes} *)
@@ -520,15 +534,9 @@ let stack_size = 1024 * 1024
 
 (** Refuse to build images larger than this (a hostile section placed near
     the top of the 32-bit address space must fault, not drive [Bytes.make]
-    into a multi-gigabyte allocation). *)
+    into a multi-gigabyte allocation). It also bounds the predecode
+    table's top level: at most 256K page pointers. *)
 let max_image_bytes = 1024 * 1024 * 1024
-
-(** Refuse to predecode text segments wider than this many words (16 MB of
-    text). Hostile SEF geometry — a tiny text section at a huge vaddr next
-    to one at a low vaddr — must not drive [Array.init] into a giant
-    allocation; past the cap the emulator silently falls back to
-    decode-per-step, which is always correct. *)
-let max_predecode_words = 4 * 1024 * 1024
 
 (** The predecode table's "not decoded" slot. No 32-bit word decodes to
     [Invalid (-1)] ([Insn.decode] masks its input), and slots are compared
@@ -536,17 +544,68 @@ let max_predecode_words = 4 * 1024 * 1024
     never returns it: no tier can execute it. *)
 let undecoded = Insn.Invalid (-1)
 
-(** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
-    sections copied into a flat memory image, the stack pointer at the top
-    of memory, and pc at the entry point. Raises {!Fault} when the image
-    cannot be built: sections with negative geometry, contents shorter than
-    the declared size, or an address space larger than {!max_image_bytes}.
+(** Slots per predecode page (4 KB of text), a power of two. *)
+let page_bits = 10
 
-    With [predecode] (the default) the text span gets a predecode table
-    whose slots are decoded on first fetch, so {!step} calls [Insn.decode]
-    once per executed word rather than once per step, and loading decodes
-    no word of text that never runs (an edited image's text span also
-    covers the data regions between [.text] and [.eel.text]).
+let page_slots = 1 lsl page_bits
+
+(** The page every top-level entry of a fresh table points at: all
+    {!undecoded}, shared by every machine and never written. *)
+let empty_page = Array.make page_slots undecoded
+
+(* Address-space buffers handed back by {!recycle}, per domain, largest
+   first. The caps keep one hostile image from pinning a gigabyte per
+   domain. *)
+let spares : Bytes.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+
+let max_spares = 2
+
+let max_spare_bytes = 4 * default_headroom
+
+(* [size] zeroed bytes: the smallest spare that holds them (the last
+   that fits, as {!recycle} keeps the spares largest first), else a new
+   buffer *)
+let take_mem size =
+  let sp = Domain.DLS.get spares in
+  match
+    List.fold_left (fun best b -> if Bytes.length b >= size then Some b else best) None !sp
+  with
+  | None -> Bytes.make size '\000'
+  | Some b ->
+      sp := List.filter (fun b' -> b' != b) !sp;
+      Bytes.fill b 0 size '\000';
+      b
+
+(** [recycle mem] hands a machine's memory back for a later {!load} on
+    this domain to reuse. The caller must be done with [mem] and with
+    every machine and run record that holds it. A buffer longer than 4 ×
+    {!default_headroom} is left to the collector, and the domain keeps the
+    two largest spares, so it holds at most 64 MB. *)
+let recycle mem =
+  if Bytes.length mem <= max_spare_bytes then begin
+    let sp = Domain.DLS.get spares in
+    let by_size a b = compare (Bytes.length b) (Bytes.length a) in
+    sp :=
+      List.filteri
+        (fun i _ -> i < max_spares)
+        (List.stable_sort by_size (mem :: List.filter (fun b -> b != mem) !sp))
+  end
+
+(** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
+    sections copied into a flat memory image of {!field:size} [high_addr +
+    headroom] bytes, the stack pointer at the top of memory, and pc at the
+    entry point. The memory is this domain's smallest {!recycle}d buffer
+    that holds [size] bytes, zero-filled over [[0, size)], or a new one.
+    Raises {!Fault} when the image cannot be built: sections with negative
+    geometry, contents shorter than the declared size, or an address space
+    larger than {!max_image_bytes}.
+
+    With [predecode] (the default) the text span gets a paged predecode
+    table (see {!field:code}) whose slots are decoded on first fetch, so
+    {!step} calls [Insn.decode] once per executed word rather than once
+    per step, and loading allocates one pointer per 4 KB page of the span
+    and decodes no word of text that never runs (an edited image's text
+    span also covers the data regions between [.text] and [.eel.text]).
     [~predecode:false] keeps the decode-per-step behaviour (the benchmark
     harness measures one against the other). *)
 let load ?(headroom = default_headroom) ?(predecode = true)
@@ -555,7 +614,7 @@ let load ?(headroom = default_headroom) ?(predecode = true)
   let size = high + headroom in
   if size < 0 || size > max_image_bytes then
     fault "image too large: sections end at 0x%x" high;
-  let mem = Bytes.make size '\000' in
+  let mem = take_mem size in
   List.iter
     (fun (s : Eel_sef.Sef.section) ->
       if s.sec_kind <> Eel_sef.Sef.Bss then (
@@ -578,19 +637,16 @@ let load ?(headroom = default_headroom) ?(predecode = true)
             (fun a (s : Eel_sef.Sef.section) -> max a (s.vaddr + s.size))
             0 ss )
   in
-  let code =
-    (* predecode only clean geometry: word-aligned base, inside the image,
-       under the size cap; anything else falls back to decode-per-step *)
-    if
-      predecode && text_hi > text_lo
-      && text_lo land 3 = 0
-      && text_hi <= Bytes.length mem
-      && (text_hi - text_lo) / 4 <= max_predecode_words
-    then Array.make ((text_hi - text_lo) / 4) undecoded
-    else [||]
+  let code_slots =
+    (* predecode only clean geometry: word-aligned base, inside the image;
+       anything else falls back to decode-per-step *)
+    if predecode && text_hi > text_lo && text_lo land 3 = 0 && text_hi <= size
+    then (text_hi - text_lo) / 4
+    else 0
   in
   {
     mem;
+    size;
     regs;
     pc = exe.entry;
     npc = exe.entry + 4;
@@ -606,7 +662,8 @@ let load ?(headroom = default_headroom) ?(predecode = true)
     profile = None;
     text_lo;
     text_hi;
-    code;
+    code = Array.make ((code_slots + page_slots - 1) lsr page_bits) empty_page;
+    code_slots;
     code_lo = text_lo;
     pokes = [];
     alt_run = None;
@@ -651,7 +708,7 @@ let reg t r = if r = Regs.g0 then 0 else t.regs.(r)
 let set_reg t r v = if r <> Regs.g0 then t.regs.(r) <- W.mask v
 
 let check_addr t addr width =
-  if addr < 0 || addr + width > Bytes.length t.mem then
+  if addr < 0 || addr + width > t.size then
     fault "memory access out of range: addr=0x%x width=%d pc=0x%x" addr width t.pc;
   if addr land (min width 4 - 1) <> 0 then
     fault "misaligned %d-byte access at 0x%x (pc=0x%x)" width addr t.pc
@@ -668,20 +725,34 @@ let load_mem t addr width ~signed =
   in
   if signed then W.mask (W.sext (width * 8) v) else v
 
-(* {!code_insn}'s slow path, kept out of line *)
+(* {!code_insn}'s slow path, kept out of line: decodes the slot, giving
+   its page a table of its own first if it still is {!empty_page} *)
 let decode_slot t idx =
   let insn =
     Insn.decode (Eel_util.Bytebuf.get32_be t.mem (t.code_lo + (idx lsl 2)))
   in
-  Array.unsafe_set t.code idx insn;
+  let page =
+    let p = Array.unsafe_get t.code (idx lsr page_bits) in
+    if p != empty_page then p
+    else begin
+      let p = Array.make page_slots undecoded in
+      Array.unsafe_set t.code (idx lsr page_bits) p;
+      p
+    end
+  in
+  Array.unsafe_set page (idx land (page_slots - 1)) insn;
   insn
 
 (** [code_insn t idx] is the instruction in predecode slot [idx], which
-    must be in range: decoded from [mem] and cached on first use. Inlined,
-    so a fetch of a decoded slot costs one compare over a plain array
-    read. *)
+    must be in [[0, code_slots)]: decoded from [mem] and cached on first
+    use. Inlined, so a fetch of a decoded slot costs one compare over two
+    plain array reads. *)
 let[@inline] code_insn t idx =
-  let insn = Array.unsafe_get t.code idx in
+  let insn =
+    Array.unsafe_get
+      (Array.unsafe_get t.code (idx lsr page_bits))
+      (idx land (page_slots - 1))
+  in
   if insn != undecoded then insn else decode_slot t idx
 
 (* [check_addr] enforces natural alignment, so no store crosses a 4-byte
@@ -689,12 +760,17 @@ let[@inline] code_insn t idx =
    resetting that one slot keeps the predecode table coherent. A slot that
    was never decoded needs nothing, not even the tier-2 notification: a
    compiled block covers only words its scanner read through
-   {!code_insn}, so every covered word is decoded. *)
+   {!code_insn}, so every covered word is decoded. Every slot of
+   {!empty_page} reads undecoded, so a store to a word whose page was
+   never allocated is skipped and the shared page is never written. *)
 let invalidate_code t addr =
   let idx = (addr - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code && t.code.(idx) != undecoded then begin
-    t.code.(idx) <- undecoded;
-    match t.on_invalidate with None -> () | Some f -> f (t.code_lo + (idx lsl 2))
+  if idx >= 0 && idx < t.code_slots then begin
+    let page = t.code.(idx lsr page_bits) and i = idx land (page_slots - 1) in
+    if page.(i) != undecoded then begin
+      page.(i) <- undecoded;
+      match t.on_invalidate with None -> () | Some f -> f (t.code_lo + (idx lsl 2))
+    end
   end
 
 let store_mem t addr width v =
@@ -722,7 +798,7 @@ let rec apply_pokes t =
       t.pokes <- rest;
       (* [addr <= len - 4], not [addr + 4 <= len]: the sum overflows for a
          hostile plan poking near max_int *)
-      if pk_addr >= 0 && pk_addr <= Bytes.length t.mem - 4 && pk_addr land 3 = 0
+      if pk_addr >= 0 && pk_addr <= t.size - 4 && pk_addr land 3 = 0
       then (
         Eel_util.Bytebuf.set32_be t.mem pk_addr (W.mask pk_value);
         invalidate_code t pk_addr);
@@ -770,12 +846,12 @@ let builtin_syscall t num =
   | 3 -> Buffer.add_char t.output (Char.chr (reg t Regs.o0 land 0xFF))
   | 4 ->
       let addr = reg t Regs.o0 and len = reg t Regs.o1 in
-      if addr < 0 || len < 0 || addr + len > Bytes.length t.mem then
+      if addr < 0 || len < 0 || addr + len > t.size then
         fault "write syscall out of range";
       Buffer.add_string t.output (Bytes.sub_string t.mem addr len)
   | 5 ->
       let nb = reg t Regs.o0 in
-      if nb > t.brk && nb < Bytes.length t.mem - stack_size then t.brk <- nb;
+      if nb > t.brk && nb < t.size - stack_size then t.brk <- nb;
       set_reg t Regs.o0 t.brk
   | 7 -> set_reg t Regs.o0 t.ninsns
   | n -> fault "unknown syscall %d at pc=0x%x" n t.pc
@@ -800,9 +876,9 @@ let set_trap_handler t h = t.trap_handler <- h
    [unsafe_get] is guarded by the [idx] range check. *)
 let fetch_insn t pc =
   let idx = (pc - t.code_lo) asr 2 in
-  if idx >= 0 && idx < Array.length t.code then code_insn t idx
+  if idx >= 0 && idx < t.code_slots then code_insn t idx
   else begin
-    if pc < 0 || pc + 4 > Bytes.length t.mem then fault "pc out of range 0x%x" pc;
+    if pc < 0 || pc + 4 > t.size then fault "pc out of range 0x%x" pc;
     Insn.decode (Eel_util.Bytebuf.get32_be t.mem pc)
   end
 
@@ -955,8 +1031,7 @@ let step t =
   (match t.hook with
   | None -> ()
   | Some f ->
-      if pc < 0 || pc + 4 > Bytes.length t.mem then
-        fault "pc out of range 0x%x" pc;
+      if pc < 0 || pc + 4 > t.size then fault "pc out of range 0x%x" pc;
       f (Ev_exec { pc; word = Eel_util.Bytebuf.get32_be t.mem pc }));
   let insn = fetch_insn t pc in
   t.ninsns <- t.ninsns + 1;

@@ -247,7 +247,7 @@ type term =
    never decoded. *)
 let scan (m : Emu.t) pc =
   let code_lo = m.Emu.code_lo in
-  let len = Array.length m.Emu.code in
+  let len = m.Emu.code_slots in
   let at i = Emu.code_insn m i in
   let idx0 = (pc - code_lo) asr 2 in
   let words = ref [] in
@@ -323,7 +323,7 @@ let finish (m : Emu.t) n next =
 let compile_insn st ~pci ~n ~dslot insn k =
   let m = st.t2_emu in
   let regs = m.Emu.regs and mem = m.Emu.mem in
-  let mem_len = Bytes.length mem in
+  let mem_len = m.Emu.size in
   let code_lo = st.t2_code_lo and code_hi = st.t2_code_hi in
   (* register reads skip the %g0 special case: regs.(0) is invariantly 0
      (writes to rd=0 are compiled out below, and [Emu.set_reg] guards the
@@ -1478,7 +1478,7 @@ let run st fuel =
     is forwarded to the code cache. Returns [None] when the machine has
     no predecoded text (tier-2 rides on the predecode table). *)
 let attach ?(threshold = default_threshold) (m : Emu.t) =
-  if Array.length m.Emu.code = 0 then None
+  if m.Emu.code_slots = 0 then None
   else begin
     let st =
       {
@@ -1487,7 +1487,7 @@ let attach ?(threshold = default_threshold) (m : Emu.t) =
         t2_entries = Hashtbl.create 256;
         t2_cover = Hashtbl.create 1024;
         t2_code_lo = m.Emu.code_lo;
-        t2_code_hi = m.Emu.code_lo + (Array.length m.Emu.code lsl 2);
+        t2_code_hi = m.Emu.code_lo + (m.Emu.code_slots lsl 2);
         t2_next = 0;
         t2_exit = 0;
         t2_cur_pc = -1;

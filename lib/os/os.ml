@@ -50,14 +50,14 @@ let clear_carry (t : Emu.t) = t.regs.(Regs.icc) <- t.regs.(Regs.icc) land lnot 1
 (* guest-memory accessors for syscall buffers; out-of-range arguments are
    machine faults, mirroring the builtin write trap *)
 let read_guest (t : Emu.t) addr len =
-  if addr < 0 || len < 0 || addr + len > Bytes.length t.mem then
+  if addr < 0 || len < 0 || addr + len > t.size then
     Emu.fault "syscall buffer out of range: addr=0x%x len=%d pc=0x%x" addr len
       t.pc;
   Bytes.sub_string t.mem addr len
 
 let write_guest (t : Emu.t) addr s =
   let len = String.length s in
-  if addr < 0 || addr + len > Bytes.length t.mem then
+  if addr < 0 || addr + len > t.size then
     Emu.fault "syscall buffer out of range: addr=0x%x len=%d pc=0x%x" addr len
       t.pc;
   Bytes.blit_string s 0 t.mem addr len;
@@ -76,9 +76,9 @@ let max_path = 256
    out-of-range one is ENOENT (hostile pointers are error returns, not
    crashes, on the path lookup surface) *)
 let read_path (t : Emu.t) addr =
-  if addr < 0 || addr >= Bytes.length t.mem then None
+  if addr < 0 || addr >= t.size then None
   else
-    let limit = min (addr + max_path) (Bytes.length t.mem) in
+    let limit = min (addr + max_path) t.size in
     let rec scan i =
       if i >= limit then None
       else if Bytes.get t.mem i = '\000' then
@@ -158,7 +158,7 @@ let dispatch st (t : Emu.t) num a0 a1 a2 =
         if Fdtab.close st.st_fds a0 then Ret (0, 0) else Err Abi.ebadf
       end
       else if num = Abi.sys_brk then begin
-        if a0 > t.brk && a0 < Bytes.length t.mem - Emu.stack_size then
+        if a0 > t.brk && a0 < t.size - Emu.stack_size then
           t.brk <- a0;
         Ret (t.brk, 0)
       end

@@ -128,9 +128,9 @@ let job_key (cfg : config) (j : Proto.job) ?os (image : string) =
   Buffer.add_string buf result_magic;
   Buffer.add_string buf Eel.Executable.analysis_version;
   B.wstr buf j.Proto.j_tool;
-  B.w32 buf (Option.value j.Proto.j_fuel ~default:cfg.c_fuel);
-  B.w32 buf (Option.value j.Proto.j_sfi_base ~default:(-1));
-  B.w32 buf (Option.value j.Proto.j_sfi_size ~default:(-1));
+  B.w64 buf (Option.value j.Proto.j_fuel ~default:cfg.c_fuel);
+  B.w64 buf (Option.value j.Proto.j_sfi_base ~default:(-1));
+  B.w64 buf (Option.value j.Proto.j_sfi_size ~default:(-1));
   B.wstr buf (match os with None -> "" | Some spec -> Os_spec.digest spec);
   Buffer.add_string buf image;
   Digest.to_hex (Digest.string (Buffer.contents buf))

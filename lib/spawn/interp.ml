@@ -152,7 +152,7 @@ let rec gather t vars stmts acc =
 let step (el : Elab.t) (t : Emu.t) =
   let pc = t.Emu.pc in
   if pc land 3 <> 0 then raise (Emu.Fault (Printf.sprintf "misaligned pc 0x%x" pc));
-  if pc < 0 || pc + 4 > Bytes.length t.Emu.mem then
+  if pc < 0 || pc + 4 > t.Emu.size then
     raise (Emu.Fault (Printf.sprintf "pc out of range 0x%x" pc));
   let word = Eel_util.Bytebuf.get32_be t.Emu.mem pc in
   t.Emu.ninsns <- t.Emu.ninsns + 1;

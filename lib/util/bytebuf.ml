@@ -19,6 +19,12 @@ let w32 buf v =
   w8 buf (v lsr 16);
   w8 buf (v lsr 24)
 
+(** [w64 buf v] writes every bit of an OCaml int: the low 32 bits, then
+    the rest (sign-extended). *)
+let w64 buf v =
+  w32 buf v;
+  w32 buf (v asr 32)
+
 let w32_be buf v =
   w8 buf (v lsr 24);
   w8 buf (v lsr 16);

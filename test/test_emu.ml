@@ -524,26 +524,43 @@ let test_predecode_fault_parity () =
   Alcotest.(check string) "identical fault message" (fault ~predecode:false)
     (fault ~predecode:true)
 
-let test_predecode_load_cost () =
-  (* an edited image's text span runs from .text past the data regions to
-     .eel.text, about a million words, of which the program executes a few
-     hundred: loading it must allocate less than one minor word per slot
-     (decoding every slot up front allocates about four) *)
+(* Words the program allocated while [f] ran, minor and major heap, with
+   [f]'s result. *)
+let allocating f =
+  let b0 = Gc.allocated_bytes () in
+  let r = f () in
+  ((Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8), r)
+
+(* The predecode table's pages that have a table of their own. *)
+let allocated_pages (t : Emu.t) =
+  List.filter (fun p -> t.Emu.code.(p) != Emu.empty_page)
+    (List.init (Array.length t.Emu.code) Fun.id)
+
+let qpt2_fib () =
   let exe =
     match Asm.assemble (List.assoc "fib" Eel_diffexec.Corpus.sources) with
     | Ok e -> e
     | Error m -> Alcotest.failf "asm: %s" m
   in
-  let edited = (Eel_tools.Qpt2.instrument Mach.mach exe).Eel_tools.Qpt2.edited in
+  (exe, (Eel_tools.Qpt2.instrument Mach.mach exe).Eel_tools.Qpt2.edited)
+
+let test_predecode_load_cost () =
+  (* an edited image's text span runs from .text past the data regions to
+     .eel.text, about a million words, of which the program executes a few
+     hundred: a load allocates one pointer per 4 KB page of the span, no
+     page of its own, and (with a spare buffer to reuse) no memory *)
+  let exe, edited = qpt2_fib () in
   let _, headroom = Eel_diffexec.Diffexec.equalized_headroom exe edited in
-  let w0 = Gc.minor_words () in
-  let t = Emu.load ~headroom edited in
-  let allocated = Gc.minor_words () -. w0 in
-  let slots = Array.length t.Emu.code in
-  Alcotest.(check bool) "edited image is predecoded" true (slots > 0);
-  if allocated >= float_of_int slots then
-    Alcotest.failf "load allocated %.0f minor words for %d table slots"
-      allocated slots
+  Emu.recycle (Bytes.create (Sef.high_addr edited + headroom));
+  let words, t = allocating (fun () -> Emu.load ~headroom edited) in
+  let pages = Array.length t.Emu.code in
+  Alcotest.(check bool) "edited image is predecoded" true (t.Emu.code_slots > 0);
+  Alcotest.(check int) "one page per 1,024 slots"
+    ((t.Emu.code_slots + Emu.page_slots - 1) / Emu.page_slots)
+    pages;
+  Alcotest.(check (list int)) "no page allocated" [] (allocated_pages t);
+  if words >= float_of_int (pages + 256) then
+    Alcotest.failf "load allocated %.0f words for a %d-page table" words pages
 
 (* ---- fuel boundaries and fault pokes (ISSUE 6) ----
 
@@ -792,21 +809,39 @@ let check_tiers_agree ?pokes name src =
 
 (* The kernel the tier timers used to race, pinned by counts instead of
    seconds: the predecode tier decodes each executed text word once (the
-   interpreter decodes every step), and the block tier, at its production
+   interpreter decodes every step) and gives a page of the table only to
+   the pages holding a pc that ran, and the block tier, at its production
    threshold, retires at least 90% of the instructions in compiled code. *)
 let test_tier_work () =
-  let exe = assemble_exe (Eel_workload.Gen.memory_bound ~iters:40 ~size_words:256 ()) in
-  let t, _ = load_tier ~tier:Tier2.Predecode exe in
-  let prof = Emu.create_profile () in
-  Emu.set_profile t (Some prof);
-  let r = Emu.run t in
-  let decoded =
-    Array.fold_left (fun n i -> if i != Emu.undecoded then n + 1 else n) 0 t.Emu.code
+  (* one predecode run: pages and slots decoded against the pcs that ran *)
+  let predecode_work name exe =
+    let t, _ = load_tier ~tier:Tier2.Predecode exe in
+    let prof = Emu.create_profile () in
+    Emu.set_profile t (Some prof);
+    let r = Emu.run t in
+    let slots =
+      List.map (fun pc -> (pc - t.Emu.code_lo) / 4)
+        (List.of_seq (Hashtbl.to_seq_keys prof.Emu.p_pc_counts))
+    in
+    let pages = allocated_pages t in
+    Alcotest.(check (list int)) (name ^ ": pages allocated = pages holding a pc run")
+      (List.sort_uniq compare (List.map (fun i -> i / Emu.page_slots) slots))
+      pages;
+    let decoded =
+      List.fold_left
+        (fun n p ->
+          Array.fold_left (fun n i -> if i != Emu.undecoded then n + 1 else n) n t.Emu.code.(p))
+        0 pages
+    in
+    Alcotest.(check int) (name ^ ": decoded slots = distinct pcs run") (List.length slots)
+      decoded;
+    (decoded, r.Emu.insns)
   in
-  Alcotest.(check int) "decoded slots = distinct pcs run"
-    (Hashtbl.length prof.Emu.p_pc_counts) decoded;
-  Alcotest.(check bool) "the loop ran" true (r.Emu.insns > 100 * decoded);
-  let t = Emu.load exe in
+  let kernel = assemble_exe (Eel_workload.Gen.memory_bound ~iters:40 ~size_words:256 ()) in
+  let decoded, insns = predecode_work "kernel" kernel in
+  Alcotest.(check bool) "the loop ran" true (insns > 100 * decoded);
+  ignore (predecode_work "qpt2 fib" (snd (qpt2_fib ())));
+  let t = Emu.load kernel in
   match Tier2.attach t with
   | None -> Alcotest.fail "tier-2 engine failed to attach"
   | Some eng ->
@@ -1361,6 +1396,263 @@ Lcold:  mov 1, %o0
   let r = run_tier ~pokes ~tier:Tier2.Interp src in
   Alcotest.(check string) "poked word executed" "42\n" r.tr_out
 
+(* ---- recycled machine memory ----
+
+   [Emu.load] reuses a buffer that an earlier machine handed back
+   ([Emu.recycle]) when one is large enough, and zero-fills only the
+   address space it needs: the buffer's bytes past [size] are stale.
+   These tests seed a new domain's spares with a larger buffer, every
+   byte dirty, and demand that nothing can tell: each load and each run,
+   on every tier, matches a fresh load in another new domain (which has
+   no spares), every bound check at the top of the address space reads
+   [size], and no byte past [size] changes. *)
+
+module Dx = Eel_diffexec.Diffexec
+
+let in_new_domain f = Domain.join (Domain.spawn f)
+
+(* stale bytes: mostly 0xa5, with a NUL every 8 bytes so that a string
+   read past the top would find a terminator *)
+let stale i = if i land 7 = 0 then '\000' else '\xa5'
+
+(* The memory of an earlier run of [exe] with 64 KB more headroom,
+   scribbled over with [stale]. *)
+let dirty_buffer ?os exe ~headroom =
+  match Dx.execute ?os ~headroom:(headroom + 65536) exe with
+  | Error e -> Alcotest.failf "execute: %s" (Eel_robust.Diag.error_message e)
+  | Ok r ->
+      let mem = r.Dx.r_mem in
+      Bytes.iteri (fun i _ -> Bytes.set mem i (stale i)) mem;
+      mem
+
+(* Run [exe] on [tier] in a new domain, and again in a new domain whose
+   one spare is a {!dirty_buffer}; both runs must agree on the stop (the
+   fault message included), events, registers, output, instruction count
+   and every byte of [[0, size)], and the recycled run must leave the
+   stale bytes past [size] alone. Returns the fresh run. *)
+let recycled_vs_fresh ?os ?pokes ~tier ~headroom name exe =
+  let size = Sef.high_addr exe + headroom in
+  let chk what = Printf.sprintf "%s [%s] %s" name (Tier2.tier_name tier) what in
+  let go () =
+    match Dx.execute ?os ?pokes ~tier ~headroom exe with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "%s: %s" (chk "execute") (Eel_robust.Diag.error_message e)
+  in
+  let fresh = in_new_domain go in
+  let dirty, recycled =
+    in_new_domain (fun () ->
+        let dirty = dirty_buffer ?os exe ~headroom in
+        Emu.recycle dirty;
+        (dirty, go ()))
+  in
+  Alcotest.(check int) (chk "a fresh buffer is the address space") size
+    (Bytes.length fresh.Dx.r_mem);
+  Alcotest.(check bool) (chk "ran in the recycled buffer") true (recycled.Dx.r_mem == dirty);
+  let stop r = Format.asprintf "%a" Dx.pp_stop r.Dx.r_stop in
+  let events r = List.map (Format.asprintf "%a" Emu.pp_obs) (Array.to_list r.Dx.r_events) in
+  Alcotest.(check string) (chk "stop") (stop fresh) (stop recycled);
+  Alcotest.(check (list string)) (chk "events") (events fresh) (events recycled);
+  Alcotest.(check (array int)) (chk "registers") fresh.Dx.r_regs recycled.Dx.r_regs;
+  Alcotest.(check string) (chk "output") fresh.Dx.r_out recycled.Dx.r_out;
+  Alcotest.(check int) (chk "insns") fresh.Dx.r_insns recycled.Dx.r_insns;
+  Alcotest.(check bool) (chk "memory [0, size)") true
+    (Bytes.sub fresh.Dx.r_mem 0 size = Bytes.sub recycled.Dx.r_mem 0 size);
+  let untouched = ref true in
+  for i = size to Bytes.length dirty - 1 do
+    if Bytes.get dirty i <> stale i then untouched := false
+  done;
+  Alcotest.(check bool) (chk "no byte past size written") true !untouched;
+  fresh
+
+let test_recycled_invisible () =
+  let exe, edited = qpt2_fib () in
+  let ha, hb = Dx.equalized_headroom exe edited in
+  List.iter
+    (fun (name, img, headroom) ->
+      let size = Sef.high_addr img + headroom in
+      let loaded = in_new_domain (fun () -> Emu.load ~headroom img) in
+      let reloaded =
+        in_new_domain (fun () ->
+            Emu.recycle (dirty_buffer img ~headroom);
+            Emu.load ~headroom img)
+      in
+      Alcotest.(check bool) (name ^ ": load took the larger spare") true
+        (Bytes.length reloaded.Emu.mem > size);
+      Alcotest.(check int) (name ^ ": same address-space size") loaded.Emu.size
+        reloaded.Emu.size;
+      Alcotest.(check bool) (name ^ ": loaded bytes [0, size)") true
+        (Bytes.sub loaded.Emu.mem 0 size = Bytes.sub reloaded.Emu.mem 0 size);
+      Alcotest.(check (array int)) (name ^ ": initial registers") (Emu.registers loaded)
+        (Emu.registers reloaded);
+      List.iter
+        (fun tier -> ignore (recycled_vs_fresh ~tier ~headroom name img))
+        Tier2.all_tiers)
+    [ ("fib", exe, ha); ("qpt2 fib", edited, hb) ]
+
+(* Programs that probe the top of the address space. With [size] a
+   multiple of 8 the initial %sp is [size - 64], so [%sp + 64] is the
+   top. The loops run long enough for the block tier to compile them, so
+   compiled accesses meet the top too. *)
+let top_probes =
+  [
+    ( "loads up to the top",
+      {|
+main:   add %sp, -16, %l0
+Lloop:  ld [%l0], %o0
+        ba Lloop
+        add %l0, 4, %l0
+|},
+      None,
+      "fault: memory access out of range",
+      None );
+    ( "stores up to the top",
+      {|
+main:   add %sp, -16, %l0
+Lloop:  st %l0, [%l0]
+        ba Lloop
+        add %l0, 4, %l0
+|},
+      None,
+      "fault: memory access out of range",
+      None );
+    ( "byte stores up to the top",
+      {|
+main:   add %sp, 44, %l0
+Lloop:  stb %l0, [%l0]
+        ba Lloop
+        add %l0, 1, %l0
+|},
+      None,
+      "fault: memory access out of range",
+      None );
+    ( "jump to the top",
+      {|
+main:   add %sp, 64, %l0
+        jmp %l0
+        nop
+|},
+      None,
+      "fault: pc out of range",
+      None );
+    ( "ta 4 across the top",
+      {|
+main:   add %sp, 60, %o0
+        mov 4, %o1
+        ta 4
+        add %sp, 62, %o0
+        mov 4, %o1
+        ta 4
+|},
+      None,
+      "fault: write syscall out of range",
+      None );
+    ( "os read across the top",
+      {|
+main:   mov 0, %o0
+        add %sp, 60, %o1
+        mov 4, %o2
+        ta 19
+        mov 0, %o0
+        add %sp, 62, %o1
+        mov 4, %o2
+        ta 19
+|},
+      Some (Eel_os.Spec.make ~stdin:"abcdefgh" ()),
+      "fault: syscall buffer out of range",
+      None );
+    ( "os write across the top",
+      {|
+main:   mov 1, %o0
+        add %sp, 60, %o1
+        mov 4, %o2
+        ta 20
+        mov 1, %o0
+        add %sp, 62, %o1
+        mov 4, %o2
+        ta 20
+|},
+      Some Eel_os.Spec.empty,
+      "fault: syscall buffer out of range",
+      None );
+    ( "os open of a path ending at the top",
+      {|
+main:   set 0x616263, %l1
+        st %l1, [%sp + 60]
+        add %sp, 61, %o0
+        mov 0, %o1
+        ta 21
+        ta 2
+|}
+      ^ exit0,
+      Some (Eel_os.Spec.make ~files:[ ("abc", "x") ] ()),
+      "exit 0",
+      Some "2\n" (* ENOENT: no NUL below the top *) );
+  ]
+
+(* brk probes: the first break each refuses ([top - stack_size]), then
+   one it grants *)
+let brk_src trap =
+  Printf.sprintf
+    {|
+main:   add %%sp, 64, %%l0
+        set 0x%x, %%l1
+        sub %%l0, %%l1, %%l0
+        mov %%l0, %%o0
+        ta %d
+        ta 2
+        sub %%l0, 8, %%o0
+        ta %d
+        ta 2
+|}
+    Emu.stack_size trap trap
+  ^ exit0
+
+let test_recycled_top () =
+  let headroom_for exe = 0x200000 + ((-Sef.high_addr exe) land 7) in
+  let probe ?os ?pokes name src =
+    let exe = assemble_exe src in
+    let headroom = headroom_for exe in
+    List.map (fun tier -> recycled_vs_fresh ?os ?pokes ~tier ~headroom name exe) Tier2.all_tiers
+  in
+  List.iter
+    (fun (name, src, os, want, want_out) ->
+      List.iter
+        (fun r ->
+          let stop = Format.asprintf "%a" Dx.pp_stop r.Dx.r_stop in
+          if not (String.starts_with ~prefix:want stop) then
+            Alcotest.failf "%s: stopped with %S, expected %S" name stop want;
+          Option.iter (fun o -> Alcotest.(check string) (name ^ ": output") o r.Dx.r_out) want_out)
+        (probe ?os name src))
+    top_probes;
+  List.iter
+    (fun (name, trap, os) ->
+      let exe = assemble_exe (brk_src trap) in
+      let size = Sef.high_addr exe + headroom_for exe in
+      let want =
+        Printf.sprintf "%d\n%d\n" (Sef.high_addr exe) (size - Emu.stack_size - 8)
+      in
+      List.iter
+        (fun r -> Alcotest.(check string) (name ^ " is capped by size") want r.Dx.r_out)
+        (probe ?os name (brk_src trap)))
+    [
+      ("brk", 5, None);
+      ("os brk", Eel_os.Abi.trap_imm Eel_os.Abi.sys_brk, Some Eel_os.Spec.empty);
+    ];
+  (* a poke at the top is dropped (recycled_vs_fresh checks that no stale
+     byte changed); one just below it lands *)
+  let src = "main:   ld [%sp + 60], %o0\n        ta 2\n" ^ exit0 in
+  let exe = assemble_exe src in
+  let size = Sef.high_addr exe + headroom_for exe in
+  let pokes =
+    [
+      { Emu.pk_at = 0; pk_addr = size; pk_value = 0x5a5a5a5a };
+      { Emu.pk_at = 0; pk_addr = size - 4; pk_value = 42 };
+    ]
+  in
+  List.iter
+    (fun r -> Alcotest.(check string) "a poke below the top lands" "42\n" r.Dx.r_out)
+    (probe ~pokes "pokes" src)
+
 let () =
   Alcotest.run "emu"
     [
@@ -1413,6 +1705,13 @@ let () =
             test_predecode_outside_text;
           Alcotest.test_case "fault parity" `Quick test_predecode_fault_parity;
           Alcotest.test_case "load cost" `Quick test_predecode_load_cost;
+        ] );
+      ( "recycle",
+        [
+          Alcotest.test_case "recycled memory is invisible" `Quick
+            test_recycled_invisible;
+          Alcotest.test_case "bound checks read the address-space size" `Quick
+            test_recycled_top;
         ] );
       ( "fuel-and-pokes",
         [

@@ -585,7 +585,7 @@ let test_perf_gate_io () =
         (List.map (fun m -> (m.Gate.m_name, m.Gate.m_higher)) metrics)
   | Error m -> Alcotest.failf "BENCHMARK.json rejected: %s" m);
   let rows = gate_rows (six 100. 67.) in
-  match
+  (match
     Json.parse
       (Gate.to_json ~parent:"p" ~change:"c" ~machine:"m \"x\"" ~cores:2 ~wall_s:1. rows
          [ Gate.tier_check (gate_run []) ])
@@ -597,8 +597,18 @@ let test_perf_gate_io () =
         (path [ "workloads"; "cold_mixed"; "jobs_per_s"; "change"; "median" ]
         = Some (Json.Num 69.5));
       Alcotest.(check bool) "pairs lost recorded" true
-        (path [ "workloads"; "cold_mixed"; "jobs_per_s"; "lost" ] = Some (Json.Num 6.))
-  | Error m -> Alcotest.failf "gate JSON does not parse: %s" m
+        (path [ "workloads"; "cold_mixed"; "jobs_per_s"; "lost" ] = Some (Json.Num 6.));
+      Alcotest.(check bool) "run length recorded" true
+        (path [ "workloads"; "cold_mixed"; "seconds" ] = Some (Json.Num 3.));
+      Alcotest.(check bool) "each run's jobs recorded" true
+        (path [ "workloads"; "cold_mixed"; "jobs"; "change" ]
+        = Some (Json.Arr (List.init 6 (fun _ -> Json.Num 10.))))
+  | Error m -> Alcotest.failf "gate JSON does not parse: %s" m);
+  Alcotest.(check (list int)) "long_run and edit_only run longer" [ 3; 3; 6; 8 ]
+    (List.map Gate.seconds [ "cold_mixed"; "warm_mixed"; "long_run"; "edit_only" ]);
+  Alcotest.(check bool) "the table prints each run's jobs" true
+    (List.mem "| cold_mixed | 3 s | 10 10 10 10 10 10 | 10 10 10 10 10 10 |"
+       (Gate.table_lines rows))
 
 (* ------------------------------------------------------------------ *)
 (* eel_objdump --trace, end to end                                     *)

@@ -635,6 +635,40 @@ let test_serve_bad_lines () =
        (fun l -> String.starts_with ~prefix:"Raised" l || String.starts_with ~prefix:"Fatal" l)
        (String.split_on_char '\n' err))
 
+(* The result key holds fuel and the SFI segment at full width: values
+   that differ by a multiple of 2^32 must not share a cache entry. *)
+let test_wide_key_fields () =
+  let cfg = Serve.default_config (Cache.create ()) in
+  let image = Sef.to_string (assemble (List.assoc "fib" Corpus.sources)) in
+  let key ?fuel ?sfi_base ?sfi_size () =
+    Serve.job_key cfg { (fib_job ?sfi_base ?sfi_size "k" "sfi") with Proto.j_fuel = fuel } image
+  in
+  let apart what a b = check_bool (what ^ " key apart") true (a <> b) in
+  apart "fuel 100000 and 4295067296" (key ~fuel:100000 ()) (key ~fuel:4295067296 ());
+  apart "sfi_size 2^32 and 2^33" (key ~sfi_size:(1 lsl 32) ()) (key ~sfi_size:(1 lsl 33) ());
+  apart "sfi_base 0 and 2^32" (key ~sfi_base:0 ()) (key ~sfi_base:(1 lsl 32) ());
+  with_temp_dir @@ fun dir ->
+  let jobs = Filename.concat dir "jobs.jsonl" and out = Filename.concat dir "out" in
+  Out_channel.with_open_bin jobs (fun oc ->
+      output_string oc
+        {|{"tool":"qpt2","corpus":"fib","fuel":100000}
+{"tool":"qpt2","corpus":"fib","fuel":4295067296}
+|});
+  let serve = Filename.concat (Filename.dirname Sys.executable_name) "../bin/eel_serve.exe" in
+  check_int "exit 0" 0
+    (Sys.command
+       (Printf.sprintf "%s %s > %s 2> /dev/null" (Filename.quote serve) (Filename.quote jobs)
+          (Filename.quote out)));
+  Alcotest.(check (list (option bool)))
+    "the second job is computed, not served from the first's entry" [ Some false; Some false ]
+    (List.map
+       (fun l ->
+         match Json.parse l with
+         | Ok j -> ( match Json.member "cached" j with Some (Json.Bool b) -> Some b | _ -> None)
+         | Error m -> Alcotest.failf "not a response: %s (%s)" l m)
+       (String.split_on_char '\n'
+          (String.trim (In_channel.with_open_bin out In_channel.input_all))))
+
 let test_proto_roundtrip () =
   List.iter
     (fun j ->
@@ -687,6 +721,7 @@ let () =
           Alcotest.test_case "concurrent service races" `Slow test_concurrent_service_races;
           Alcotest.test_case "result-cache robustness" `Quick test_result_cache_robustness;
           Alcotest.test_case "outcome codec" `Quick test_outcome_codec;
+          Alcotest.test_case "wide key fields" `Quick test_wide_key_fields;
         ] );
       ( "protocol",
         [
