@@ -77,7 +77,7 @@ os-smoke:
 # tier runs slower than its predecode tier. Prints the pair table and
 # writes it to _build/perf-pairs.json. The parent is the merge base with
 # origin/main (else HEAD~1); name another with
-# `./_build/default/bench/regress.exe REV`. Takes about 5 minutes.
+# `./_build/default/bench/regress.exe REV`. Takes about 7 minutes.
 perf-regress:
 	dune build bench/regress.exe
 	./_build/default/bench/regress.exe

@@ -14,7 +14,7 @@
 
 module Json = Eel_obs.Json
 
-(* 6 pairs take about 6 minutes, inside a 10-minute CI step; a slowdown
+(* 6 pairs take about 7 minutes, inside a 10-minute CI step; a slowdown
    past a bound must lose 5 of them, which noise rarely does *)
 let pairs = 6
 let seed = 11
