@@ -139,6 +139,7 @@ let () =
             match Diffexec.execute ~fuel:!fuel ~profile:true ?os exe with
             | Error e -> (prog, Error (Diag.error_message e))
             | Ok r ->
+                Diffexec.recycle r;
                 let p = Option.get r.Diffexec.r_profile in
                 let name_of = namer exe in
                 ( prog,

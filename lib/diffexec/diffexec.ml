@@ -85,6 +85,9 @@ type run = {
   r_insns : int;
   r_regs : int array;  (** final register file *)
   r_mem : Bytes.t;  (** final memory image (contract checks read it) *)
+  r_marks : Bytes.t;
+      (** the pages of [r_mem] the load and the run wrote
+          ({!Emu.field:marks}); {!recycle} hands them back with it *)
   r_profile : Emu.profile option;  (** ground-truth profile, when requested *)
 }
 
@@ -112,7 +115,8 @@ type run = {
     is armed, so callers need not care.
 
     The load and the run are traced as [emu.load] and [emu.run]. The
-    run's [r_mem] is the caller's: [execute] never {!Emu.recycle}s it. *)
+    run's [r_mem] is the caller's: [execute] never recycles it, and a
+    caller that is done with it hands it back with {!recycle}. *)
 let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
     ?(tier = Tier2.Block) ?(pokes = []) ?os (exe : Sef.t) :
     (run, Diag.error) result =
@@ -162,6 +166,7 @@ let execute ?(fuel = default_fuel) ?limit ?headroom ?(profile = false) ?filter
           r_insns = Emu.insns_executed t;
           r_regs = Emu.registers t;
           r_mem = t.Emu.mem;
+          r_marks = t.Emu.marks;
           r_profile = prof;
         }
 
@@ -505,12 +510,12 @@ let equalized_headroom a b =
   let top = max ha hb + Emu.default_headroom in
   (top - ha, top - hb)
 
-(* The image-level oracles below hand each run's memory back
-   ({!Emu.recycle}) once nothing reads it, so the next job's loads on this
-   domain reuse it. *)
-let recycle (a : run) (b : run) =
-  Emu.recycle a.r_mem;
-  Emu.recycle b.r_mem
+(** [recycle r] hands [r]'s memory back with its marks ({!Emu.recycle}),
+    so the next load on this domain reuses it and zero-fills only the
+    pages [r] wrote. Call it once nothing reads [r.r_mem] any more, and
+    write nothing into it before. The image-level oracles below recycle
+    every run they make. *)
+let recycle (r : run) = Emu.recycle ~marks:r.r_marks r.r_mem
 
 (** [compare_images ?fuel ?limit ?norm_b ?block_of a b] runs two arbitrary
     images under the shared fuel budget and compares their observable
@@ -524,10 +529,13 @@ let compare_images ?fuel ?limit ?norm_b ?block_of (a : Sef.t) (b : Sef.t) :
   | Error e -> Error e
   | Ok ra -> (
       match execute ?fuel ?limit ~headroom:head_b b with
-      | Error e -> Error e
+      | Error e ->
+          recycle ra;
+          Error e
       | Ok rb ->
           let rp = compare_runs ?norm_b ?block_of ra rb in
-          recycle ra rb;
+          recycle ra;
+          recycle rb;
           publish rp;
           Ok rp)
 
@@ -577,10 +585,13 @@ let identity_roundtrip ?fuel ?limit ?diag ?budget ~mach (exe : Sef.t) :
             Trace.with_span "diff.run.edited" (fun () ->
                 execute ?fuel ?limit ~headroom:head_b edited)
           with
-          | Error e -> Error e
+          | Error e ->
+              recycle ra;
+              Error e
           | Ok rb ->
               let rp = compare_runs ~norm_b ~block_of ra rb in
-              recycle ra rb;
+              recycle ra;
+              recycle rb;
               publish rp;
               Ok rp))
 
@@ -648,7 +659,9 @@ let verify_edit ?fuel ?limit ?(norm_b = fun v -> v) ?block_of ?pokes_b
             execute ?fuel ?limit ~headroom:head_b ~profile:profiles
               ~filter:keep ?pokes:pokes_b ?os:os_edit edited)
       with
-      | Error e -> Error e
+      | Error e ->
+          recycle ra;
+          Error e
       | Ok rb ->
           (* the original's events as the edited program would observe
              them: store addresses pushed through the edit's transform,
@@ -740,7 +753,8 @@ let verify_edit ?fuel ?limit ?(norm_b = fun v -> v) ?block_of ?pokes_b
                     })
             | _ -> rp
           in
-          recycle ra rb;
+          recycle ra;
+          recycle rb;
           publish ~prefix:"eel.equiv" rp;
           Metrics.incr ~by:rb.r_filtered
             (Metrics.counter "eel.equiv.masked_events");

@@ -452,6 +452,14 @@ type t = {
       (** the address-space size: every bound check (accesses, fetch,
           syscall buffers, brk, pokes) reads this, never
           [Bytes.length mem] *)
+  marks : Bytes.t;
+      (** the page-mark map: one byte per 4 KB page of [mem], over its
+          whole length, nonzero once the page may hold a nonzero byte. A
+          page left unmarked is all zero, so {!load} zero-fills only the
+          marked pages of a {!recycle}d buffer. Every writer of [mem]
+          marks the pages it writes ({!mark}): the loader's section
+          blits, {!store_mem} (tier-1 and the RTL interpreter), tier-2's
+          compiled stores, pokes and the OS layer's syscall buffers. *)
   regs : int array;  (** 34 entries: 32 GPRs + icc + y *)
   mutable pc : int;
   mutable npc : int;
@@ -553,49 +561,87 @@ let page_slots = 1 lsl page_bits
     {!undecoded}, shared by every machine and never written. *)
 let empty_page = Array.make page_slots undecoded
 
-(* Address-space buffers handed back by {!recycle}, per domain, largest
-   first. The caps keep one hostile image from pinning a gigabyte per
-   domain. *)
-let spares : Bytes.t list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+(** log2 of the bytes per page of the page-mark map ({!field:marks}) *)
+let mark_bits = 12
+
+let mark_pages len = (len + (1 lsl mark_bits) - 1) lsr mark_bits
+
+(** [mark marks addr len] marks the pages of [[addr, addr + len)] as
+    written (see {!field:marks}). Tier-2's compiled stores set their
+    page's byte themselves. *)
+let mark marks addr len =
+  if len > 0 then
+    for p = addr lsr mark_bits to (addr + len - 1) lsr mark_bits do
+      Bytes.set marks p '\001'
+    done
+
+(* Address-space buffers handed back by {!recycle}, each with its marks,
+   per domain, largest first. The caps keep one hostile image from
+   pinning a gigabyte per domain. *)
+let spares : (Bytes.t * Bytes.t) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let max_spares = 2
 
 let max_spare_bytes = 4 * default_headroom
 
-(* [size] zeroed bytes: the smallest spare that holds them (the last
-   that fits, as {!recycle} keeps the spares largest first), else a new
-   buffer *)
+(* [size] zeroed bytes and their marks: the smallest spare that holds
+   them (the last that fits, as {!recycle} keeps the spares largest
+   first) with the marked pages of [[0, size)] zero-filled, else a new
+   buffer. A page zeroed whole loses its mark; the page [size] cuts
+   keeps it, as its bytes past [size] may be dirty. *)
 let take_mem size =
   let sp = Domain.DLS.get spares in
   match
-    List.fold_left (fun best b -> if Bytes.length b >= size then Some b else best) None !sp
+    List.fold_left
+      (fun best ((b, _) as s) -> if Bytes.length b >= size then Some s else best)
+      None !sp
   with
-  | None -> Bytes.make size '\000'
-  | Some b ->
-      sp := List.filter (fun b' -> b' != b) !sp;
-      Bytes.fill b 0 size '\000';
-      b
+  | None -> (Bytes.make size '\000', Bytes.make (mark_pages size) '\000')
+  | Some ((b, marks) as s) ->
+      sp := List.filter (fun s' -> s' != s) !sp;
+      for p = 0 to mark_pages size - 1 do
+        if Bytes.unsafe_get marks p <> '\000' then begin
+          let lo = p lsl mark_bits in
+          let len = min (1 lsl mark_bits) (size - lo) in
+          Bytes.fill b lo len '\000';
+          if len = 1 lsl mark_bits then Bytes.unsafe_set marks p '\000'
+        end
+      done;
+      (b, marks)
 
-(** [recycle mem] hands a machine's memory back for a later {!load} on
-    this domain to reuse. The caller must be done with [mem] and with
-    every machine and run record that holds it. A buffer longer than 4 ×
-    {!default_headroom} is left to the collector, and the domain keeps the
-    two largest spares, so it holds at most 64 MB. *)
-let recycle mem =
+(** [recycle ?marks mem] hands a machine's memory back for a later
+    {!load} on this domain to reuse, with the machine's page-mark map
+    ({!field:marks}). [marks] must name every page written since [mem]
+    was loaded: the next load zero-fills only those. Without [marks]
+    every page counts as written. The caller must be done with [mem] and
+    with every machine and run record that holds it. A buffer longer than
+    4 × {!default_headroom} is left to the collector, and the domain keeps
+    the two largest spares, so it holds at most 64 MB. *)
+let recycle ?marks mem =
   if Bytes.length mem <= max_spare_bytes then begin
+    let pages = mark_pages (Bytes.length mem) in
+    let marks =
+      match marks with
+      | None -> Bytes.make pages '\001'
+      | Some m when Bytes.length m = pages -> m
+      | Some _ -> invalid_arg "Emu.recycle: the marks do not cover the buffer"
+    in
     let sp = Domain.DLS.get spares in
-    let by_size a b = compare (Bytes.length b) (Bytes.length a) in
+    let by_size (a, _) (b, _) = compare (Bytes.length b) (Bytes.length a) in
     sp :=
       List.filteri
         (fun i _ -> i < max_spares)
-        (List.stable_sort by_size (mem :: List.filter (fun b -> b != mem) !sp))
+        (List.stable_sort by_size
+           ((mem, marks) :: List.filter (fun (b, _) -> b != mem) !sp))
   end
 
 (** [load ?headroom ?predecode exe] builds a machine state with [exe]'s
     sections copied into a flat memory image of {!field:size} [high_addr +
     headroom] bytes, the stack pointer at the top of memory, and pc at the
     entry point. The memory is this domain's smallest {!recycle}d buffer
-    that holds [size] bytes, zero-filled over [[0, size)], or a new one.
+    that holds [size] bytes, with the marked pages of [[0, size)]
+    zero-filled ({!field:marks}), or a new one.
     Raises {!Fault} when the image cannot be built: sections with negative
     geometry, contents shorter than the declared size, or an address space
     larger than {!max_image_bytes}.
@@ -614,7 +660,7 @@ let load ?(headroom = default_headroom) ?(predecode = true)
   let size = high + headroom in
   if size < 0 || size > max_image_bytes then
     fault "image too large: sections end at 0x%x" high;
-  let mem = take_mem size in
+  let mem, marks = take_mem size in
   List.iter
     (fun (s : Eel_sef.Sef.section) ->
       if s.sec_kind <> Eel_sef.Sef.Bss then (
@@ -624,7 +670,8 @@ let load ?(headroom = default_headroom) ?(predecode = true)
         if Bytes.length s.contents < s.size then
           fault "section %s declares %d bytes but stores %d" s.sec_name s.size
             (Bytes.length s.contents);
-        Bytes.blit s.contents 0 mem s.vaddr s.size))
+        Bytes.blit s.contents 0 mem s.vaddr s.size;
+        mark marks s.vaddr s.size))
     exe.sections;
   let regs = Array.make Regs.num_regs 0 in
   regs.(Regs.sp) <- W.mask (size - 64) land lnot 7;
@@ -647,6 +694,7 @@ let load ?(headroom = default_headroom) ?(predecode = true)
   {
     mem;
     size;
+    marks;
     regs;
     pc = exe.entry;
     npc = exe.entry + 4;
@@ -782,6 +830,7 @@ let store_mem t addr width v =
       Bytes.set t.mem (addr + 1) (Char.chr (v land 0xFF))
   | 4 -> Eel_util.Bytebuf.set32_be t.mem addr (W.mask v)
   | _ -> assert false);
+  mark t.marks addr width;
   invalidate_code t addr
 
 (** [set_pokes t ps] installs a fault plan (see {!poke}); the plan is
@@ -801,6 +850,7 @@ let rec apply_pokes t =
       if pk_addr >= 0 && pk_addr <= t.size - 4 && pk_addr land 3 = 0
       then (
         Eel_util.Bytebuf.set32_be t.mem pk_addr (W.mask pk_value);
+        mark t.marks pk_addr 4;
         invalidate_code t pk_addr);
       apply_pokes t
   | _ -> ()

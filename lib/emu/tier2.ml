@@ -322,8 +322,10 @@ let finish (m : Emu.t) n next =
    boundary. *)
 let compile_insn st ~pci ~n ~dslot insn k =
   let m = st.t2_emu in
-  let regs = m.Emu.regs and mem = m.Emu.mem in
+  let regs = m.Emu.regs and mem = m.Emu.mem and marks = m.Emu.marks in
   let mem_len = m.Emu.size in
+  (* a store marks its page ({!Emu.field:marks}) with an unsafe write: it
+     has passed the [mem_len] check, and the marks cover all of [mem] *)
   let code_lo = st.t2_code_lo and code_hi = st.t2_code_hi in
   (* register reads skip the %g0 special case: regs.(0) is invariantly 0
      (writes to rd=0 are compiled out below, and [Emu.set_reg] guards the
@@ -763,6 +765,7 @@ let compile_insn st ~pci ~n ~dslot insn k =
                 m.Emu.nstores <- m.Emu.nstores + 1;
                 emit_store a 4;
                 Eel_util.Bytebuf.set32_be mem a (Array.unsafe_get regs rd);
+                Bytes.unsafe_set marks (a lsr Emu.mark_bits) '\001';
                 if a >= code_lo && a < code_hi then text_store a;
                 k ()
           | Insn.O_reg r ->
@@ -775,6 +778,7 @@ let compile_insn st ~pci ~n ~dslot insn k =
                 m.Emu.nstores <- m.Emu.nstores + 1;
                 emit_store a 4;
                 Eel_util.Bytebuf.set32_be mem a (Array.unsafe_get regs rd);
+                Bytes.unsafe_set marks (a lsr Emu.mark_bits) '\001';
                 if a >= code_lo && a < code_hi then text_store a;
                 k ())
       | Insn.Stb ->
@@ -785,6 +789,7 @@ let compile_insn st ~pci ~n ~dslot insn k =
             emit_store a 1;
             Bytes.unsafe_set mem a
               (Char.unsafe_chr (Array.unsafe_get regs rd land 0xFF));
+            Bytes.unsafe_set marks (a lsr Emu.mark_bits) '\001';
             if a >= code_lo && a < code_hi then text_store a;
             k ()
       | Insn.Sth ->
@@ -796,6 +801,7 @@ let compile_insn st ~pci ~n ~dslot insn k =
             let v = Array.unsafe_get regs rd in
             Bytes.unsafe_set mem a (Char.unsafe_chr ((v lsr 8) land 0xFF));
             Bytes.unsafe_set mem (a + 1) (Char.unsafe_chr (v land 0xFF));
+            Bytes.unsafe_set marks (a lsr Emu.mark_bits) '\001';
             if a >= code_lo && a < code_hi then text_store a;
             k ()
       | Insn.Std ->
@@ -809,6 +815,10 @@ let compile_insn st ~pci ~n ~dslot insn k =
             emit_store a 8;
             Eel_util.Bytebuf.set32_be mem a (Array.unsafe_get regs rd);
             Eel_util.Bytebuf.set32_be mem (a + 4) (Array.unsafe_get regs (rd + 1));
+            (* the pair spans two pages when [a] is 4 bytes below a page
+               boundary *)
+            Bytes.unsafe_set marks (a lsr Emu.mark_bits) '\001';
+            Bytes.unsafe_set marks ((a + 4) lsr Emu.mark_bits) '\001';
             if a + 8 > code_lo && a < code_hi then begin
               if a >= code_lo && a < code_hi then Emu.invalidate_code m a;
               (let a4 = a + 4 in

@@ -61,6 +61,7 @@ let write_guest (t : Emu.t) addr s =
     Emu.fault "syscall buffer out of range: addr=0x%x len=%d pc=0x%x" addr len
       t.pc;
   Bytes.blit_string s 0 t.mem addr len;
+  Emu.mark t.marks addr len;
   (* keep the predecoded code array coherent, word by word, exactly as a
      program store would (a read(2) into text is self-modifying code) *)
   let lo = addr land lnot 3 and hi = addr + len in

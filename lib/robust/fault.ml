@@ -167,6 +167,7 @@ let instrument ~fuel ?os tool (prog, exe) : (inst, string) result =
           with
           | Error _ -> []
           | Ok rb ->
+              Diffexec.recycle rb;
               List.mapi (fun i r -> (i, r)) regions
               |> List.filter_map (fun (i, r) ->
                      let hit = ref false in
@@ -182,6 +183,7 @@ let instrument ~fuel ?os tool (prog, exe) : (inst, string) result =
       match Diffexec.execute ~fuel ~headroom:head_a ?os exe with
       | Error e -> Error (Diag.error_message e)
       | Ok r ->
+          Diffexec.recycle r;
           let traps = ref [] and stores = ref [] and nums = ref [] in
           let sys = ref [] and sys_nums = ref [] and sys_deny = ref false in
           let seen_pc = Hashtbl.create 16 in
@@ -876,7 +878,9 @@ let env_sweep ~seed ~fuel () : int * int =
          original run's full length *)
       let n =
         match Diffexec.execute ~fuel exe with
-        | Ok r -> r.Diffexec.r_insns
+        | Ok r ->
+            Diffexec.recycle r;
+            r.Diffexec.r_insns
         | Error _ -> 64
       in
       List.iter

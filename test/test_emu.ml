@@ -1400,12 +1400,12 @@ Lcold:  mov 1, %o0
 
    [Emu.load] reuses a buffer that an earlier machine handed back
    ([Emu.recycle]) when one is large enough, and zero-fills only the
-   address space it needs: the buffer's bytes past [size] are stale.
-   These tests seed a new domain's spares with a larger buffer, every
-   byte dirty, and demand that nothing can tell: each load and each run,
-   on every tier, matches a fresh load in another new domain (which has
-   no spares), every bound check at the top of the address space reads
-   [size], and no byte past [size] changes. *)
+   marked pages of the address space it needs: the buffer's bytes past
+   [size] are stale. These tests seed a new domain's spares with a
+   larger buffer, dirty, and demand that nothing can tell: each load and
+   each run, on every tier, matches a fresh load in another new domain
+   (which has no spares), every bound check at the top of the address
+   space reads [size], and no byte past [size] changes. *)
 
 module Dx = Eel_diffexec.Diffexec
 
@@ -1426,11 +1426,13 @@ let dirty_buffer ?os exe ~headroom =
       mem
 
 (* Run [exe] on [tier] in a new domain, and again in a new domain whose
-   one spare is a {!dirty_buffer}; both runs must agree on the stop (the
-   fault message included), events, registers, output, instruction count
-   and every byte of [[0, size)], and the recycled run must leave the
-   stale bytes past [size] alone. Returns the fresh run. *)
-let recycled_vs_fresh ?os ?pokes ~tier ~headroom name exe =
+   one spare is the buffer [scribble ()] handed back and returned (by
+   default a {!dirty_buffer}, handed back without marks, so every page
+   counts as written); both runs must agree on the stop (the fault
+   message included), events, registers, output, instruction count and
+   every byte of [[0, size)], and the recycled run must leave the bytes
+   past [size] alone. Returns the fresh run. *)
+let recycled_vs_fresh ?os ?pokes ?scribble ~tier ~headroom name exe =
   let size = Sef.high_addr exe + headroom in
   let chk what = Printf.sprintf "%s [%s] %s" name (Tier2.tier_name tier) what in
   let go () =
@@ -1438,12 +1440,21 @@ let recycled_vs_fresh ?os ?pokes ~tier ~headroom name exe =
     | Ok r -> r
     | Error e -> Alcotest.failf "%s: %s" (chk "execute") (Eel_robust.Diag.error_message e)
   in
+  let scribble =
+    match scribble with
+    | Some f -> f
+    | None ->
+        fun () ->
+          let dirty = dirty_buffer ?os exe ~headroom in
+          Emu.recycle dirty;
+          dirty
+  in
   let fresh = in_new_domain go in
-  let dirty, recycled =
+  let dirty, before, recycled =
     in_new_domain (fun () ->
-        let dirty = dirty_buffer ?os exe ~headroom in
-        Emu.recycle dirty;
-        (dirty, go ()))
+        let dirty = scribble () in
+        let before = Bytes.copy dirty in
+        (dirty, before, go ()))
   in
   Alcotest.(check int) (chk "a fresh buffer is the address space") size
     (Bytes.length fresh.Dx.r_mem);
@@ -1457,11 +1468,8 @@ let recycled_vs_fresh ?os ?pokes ~tier ~headroom name exe =
   Alcotest.(check int) (chk "insns") fresh.Dx.r_insns recycled.Dx.r_insns;
   Alcotest.(check bool) (chk "memory [0, size)") true
     (Bytes.sub fresh.Dx.r_mem 0 size = Bytes.sub recycled.Dx.r_mem 0 size);
-  let untouched = ref true in
-  for i = size to Bytes.length dirty - 1 do
-    if Bytes.get dirty i <> stale i then untouched := false
-  done;
-  Alcotest.(check bool) (chk "no byte past size written") true !untouched;
+  let past b = Bytes.sub b size (Bytes.length b - size) in
+  Alcotest.(check bool) (chk "no byte past size written") true (past dirty = past before);
   fresh
 
 let test_recycled_invisible () =
@@ -1653,6 +1661,155 @@ let test_recycled_top () =
     (fun r -> Alcotest.(check string) "a poke below the top lands" "42\n" r.Dx.r_out)
     (probe ~pokes "pokes" src)
 
+(* ---- selective zeroing ----
+
+   A buffer comes back with its page marks ([Emu.t.marks]), and the next
+   load zero-fills only the marked pages of its address space. The
+   scribbler writes through every writer of machine memory, each into
+   pages no other writer touches: the loader's blit of its .data, an OS
+   read(2), a poke, and, in a loop long enough for the block tier to
+   compile it, st with each operand kind, stb, sth and an std across a
+   4 KB boundary. Each store moves on 8 KB an iteration, so on the block
+   tier the last iteration's pages are written by compiled code alone.
+   The reader loads from each of those pages and writes none of them: a
+   writer that failed to mark its page leaves a stale value there, which
+   the reader prints and the memory compare sees. *)
+
+(* what the scribbler leaves where: (writer, the reader's load, address) *)
+let scribbled =
+  [
+    ("loader blit", "ld", 0x11000);
+    ("st imm", "ld", 0x6e010);
+    ("st reg", "ld", 0xae000);
+    ("stb", "ldub", 0xee001);
+    ("sth", "lduh", 0x12e002);
+    ("std, first page", "ld", 0x16effc);
+    ("std, second page", "ld", 0x16f000);
+    ("os read", "ld", 0x180000);
+    ("poke", "ld", 0x190000);
+  ]
+
+let scribbler_src =
+  {|
+main:   mov 0, %o0
+        set 0x180000, %o1
+        mov 8, %o2
+        ta 19
+        set 0x5ca1ab1e, %l1
+        set 0x600dcafe, %l2
+        set 0x0badf00d, %l3
+        set 0x40000, %g1
+        set 0x80000, %g2
+        set 0xc0001, %g3
+        set 0x100002, %g4
+        set 0x140ffc, %g5
+        set 0x2000, %l6
+        set 0x30000, %l7
+        mov 0, %l0
+Lloop:  add %l0, %g1, %o3
+        st %l1, [%o3 + 16]
+        st %l1, [%l0 + %g2]
+        stb %l1, [%l0 + %g3]
+        sth %l1, [%l0 + %g4]
+        std %l2, [%l0 + %g5]
+        add %l0, %l6, %l0
+        subcc %l0, %l7, %g0
+        bne Lloop
+        nop
+|}
+  ^ exit0 ^ "        .data\n        .word 0x5eed5eed\n"
+
+let reader_src =
+  "main:   nop\n"
+  ^ String.concat ""
+      (List.map
+         (fun (_, op, addr) ->
+           Printf.sprintf "        set 0x%x, %%l0\n        %s [%%l0], %%o0\n        ta 2\n"
+             addr op)
+         scribbled)
+  ^ exit0
+
+(* Run the scribbler on [tier] in an address space of [size] bytes, check
+   that every write landed, and hand the memory back with its marks. *)
+let scribble ~tier ~size () =
+  let exe = assemble_exe scribbler_src in
+  let data = List.find (fun s -> s.Sef.sec_name = ".data") exe.Sef.sections in
+  Alcotest.(check int) "the scribbler's .data" 0x11000 data.Sef.vaddr;
+  let t =
+    Emu.load ~headroom:(size - Sef.high_addr exe) ~predecode:(tier <> Tier2.Interp) exe
+  in
+  let block = if tier = Tier2.Block then Tier2.attach t else None in
+  ignore (Eel_os.Os.install t (Eel_os.Spec.make ~stdin:"abcdefgh" ()));
+  Emu.set_pokes t [ { Emu.pk_at = 0; pk_addr = 0x190000; pk_value = 0x7e57ab1e } ];
+  (* an armed poke plan keeps a run on tier-1: a first run of one
+     instruction spends it, so the block tier takes the rest *)
+  (try ignore (Emu.run ~fuel:1 t) with Emu.Out_of_fuel -> ());
+  ignore (Emu.run t);
+  Option.iter
+    (fun st ->
+      if (Tier2.stats st).Tier2.st_block_runs = 0 then
+        Alcotest.fail "the scribbler's loop never ran compiled")
+    block;
+  List.iter
+    (fun (what, _, addr) ->
+      if Bytes.get t.Emu.mem addr = '\000' then
+        Alcotest.failf "the scribbler's %s left 0x%x zero" what addr)
+    scribbled;
+  Emu.recycle ~marks:t.Emu.marks t.Emu.mem;
+  t.Emu.mem
+
+let test_recycled_scribbled () =
+  let reader = assemble_exe reader_src in
+  let headroom = 0x200000 in
+  let size = Sef.high_addr reader + headroom in
+  List.iter
+    (fun tier ->
+      let r =
+        recycled_vs_fresh ~scribble:(scribble ~tier ~size:(size + 65536)) ~tier ~headroom
+          "after the scribbler" reader
+      in
+      Alcotest.(check string) "a fresh reader reads zeros"
+        (String.concat "" (List.map (fun _ -> "0\n") scribbled))
+        r.Dx.r_out)
+    Tier2.all_tiers
+
+(* A load leaves unmarked pages alone: a sentinel planted behind the
+   marks' back, in a page the last run never wrote, survives it. Every
+   other byte of the address space reads as a fresh load's, and every
+   page the load zero-filled whole loses its mark. *)
+let test_load_skips_unmarked () =
+  let exe, _ = qpt2_fib () in
+  let fresh = in_new_domain (fun () -> Emu.load exe) in
+  let size = fresh.Emu.size and whole = fresh.Emu.size lsr Emu.mark_bits in
+  let page = (Sef.high_addr exe lsr Emu.mark_bits) + 16 in
+  let at = (page lsl Emu.mark_bits) + 100 in
+  let r, run_marks, t =
+    in_new_domain (fun () ->
+        let r =
+          match Dx.execute exe with
+          | Ok r -> r
+          | Error e -> Alcotest.failf "execute: %s" (Eel_robust.Diag.error_message e)
+        in
+        let run_marks = Bytes.copy r.Dx.r_marks in
+        Bytes.set r.Dx.r_mem at '\x5a';
+        Dx.recycle r;
+        (r, run_marks, Emu.load exe))
+  in
+  Alcotest.(check char) "the run left the page unmarked" '\000' (Bytes.get run_marks page);
+  Alcotest.(check bool) "the load took the spare" true (t.Emu.mem == r.Dx.r_mem);
+  Alcotest.(check char) "the sentinel survives the load" '\x5a' (Bytes.get t.Emu.mem at);
+  Bytes.set t.Emu.mem at '\000';
+  Alcotest.(check bool) "every other byte of [0, size) as loaded fresh" true
+    (Bytes.sub fresh.Emu.mem 0 size = Bytes.sub t.Emu.mem 0 size);
+  let zeroed = ref 0 in
+  Bytes.iteri
+    (fun p m -> if p < whole && m <> '\000' && Bytes.get fresh.Emu.marks p = '\000' then incr zeroed)
+    run_marks;
+  if !zeroed = 0 then Alcotest.fail "the run marked no page the image does not cover";
+  Alcotest.(check string) "marks of the whole pages as a fresh load's"
+    (Bytes.sub_string fresh.Emu.marks 0 whole)
+    (Bytes.sub_string t.Emu.marks 0 whole)
+
 let () =
   Alcotest.run "emu"
     [
@@ -1712,6 +1869,10 @@ let () =
             test_recycled_invisible;
           Alcotest.test_case "bound checks read the address-space size" `Quick
             test_recycled_top;
+          Alcotest.test_case "zeroing follows every writer's marks" `Quick
+            test_recycled_scribbled;
+          Alcotest.test_case "a load leaves unmarked pages alone" `Quick
+            test_load_skips_unmarked;
         ] );
       ( "fuel-and-pokes",
         [

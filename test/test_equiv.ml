@@ -291,6 +291,7 @@ let test_raw_equal_values_match () =
       r_insns = 1;
       r_regs = regs;
       r_mem = Bytes.empty;
+      r_marks = Bytes.empty;
       r_profile = None;
     }
   in
