@@ -456,6 +456,12 @@ let write_file path s =
   output_string oc s;
   close_out oc
 
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
 let test_trace_check_exports () =
   let h = Hotspot.create () in
   Hotspot.add h ~stack:[ "a"; "b" ] ~self:7 ();
@@ -880,21 +886,15 @@ let test_report_same_basename () =
             [ "--tool"; "qpt2"; "--json"; json; "--flame"; flame; a; b ]))
   in
   Alcotest.(check int) "eel_report exit" 0 rc;
-  let read f =
-    let ic = open_in_bin f in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    text
-  in
   let roots =
     List.sort_uniq compare
       (List.filter_map
          (fun l ->
            if l = "" then None else Some (List.hd (String.split_on_char ';' l)))
-         (String.split_on_char '\n' (read flame)))
+         (String.split_on_char '\n' (read_file flame)))
   in
   Alcotest.(check (list string)) "one flame root per input" [ a; b ] roots;
-  match Json.parse (read json) with
+  match Json.parse (read_file json) with
   | Ok report -> (
       match Json.member "ledger" report with
       | Some (Json.Arr rows) ->
@@ -908,6 +908,25 @@ let test_report_same_basename () =
                rows)
       | _ -> Alcotest.fail "report has no ledger array")
   | Error m -> Alcotest.failf "report json invalid: %s" m
+
+(* eel_report's corpus exports are pinned byte for byte: the flamegraph
+   and speedscope files over the default corpus must equal the goldens
+   next to this suite (98 stacks, 10,949 instructions). A change meant
+   to alter them regenerates both from eel_report itself. *)
+let test_report_golden_exports () =
+  with_workload @@ fun dir _ ->
+  let flame = Filename.concat dir "r.flame"
+  and scope = Filename.concat dir "r.speedscope.json" in
+  let rc, err =
+    run_tool dir "eel_report"
+      (Printf.sprintf "--flame %s --speedscope %s" (Filename.quote flame)
+         (Filename.quote scope))
+  in
+  Alcotest.(check int) ("eel_report exit; stderr: " ^ err) 0 rc;
+  List.iter
+    (fun (golden, got) ->
+      Alcotest.(check string) golden (read_file golden) (read_file got))
+    [ ("hotspot.flame", flame); ("hotspot.speedscope.json", scope) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -971,6 +990,8 @@ let () =
             test_cli_traces_validate;
           Alcotest.test_case "eel_report keeps inputs that share a name"
             `Quick test_report_same_basename;
+          Alcotest.test_case "eel_report exports match the goldens" `Quick
+            test_report_golden_exports;
           Alcotest.test_case "oracle runs print their tier-2 counters" `Quick
             test_cli_tier2_metrics;
         ] );
