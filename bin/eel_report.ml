@@ -7,8 +7,8 @@
    own result and the driver folds them, in input order (output is
    byte-identical at any EEL_JOBS):
 
-     1. hotspot: every program runs under the emulator's ground-truth
-        profiler; the per-run calling-context tree is named via the SEF
+     1. hotspot: every program runs on tier-1 with a calling-context
+        tree (Cct) on the emulator's hook; the tree is named via the SEF
         symbol table and merged into one corpus-wide Hotspot tree,
         exportable as a collapsed-stack flamegraph (--flame) or speedscope
         JSON (--speedscope).
@@ -30,6 +30,8 @@ module Diffexec = Eel_diffexec.Diffexec
 module Corpus = Eel_diffexec.Corpus
 module Toolbox = Eel_tools.Toolbox
 module Emu = Eel_emu.Emu
+module Cct = Eel_emu.Cct
+module Trace = Eel_obs.Trace
 module Hotspot = Eel_obs.Hotspot
 module Ledger = Eel_obs.Ledger
 module Json = Eel_obs.Json
@@ -66,6 +68,31 @@ let namer (exe : Sef.t) =
     | Some i when syms.(i).Sef.value = pc -> syms.(i).Sef.sym_name
     | Some i -> Printf.sprintf "%s+0x%x" syms.(i).Sef.sym_name (pc - syms.(i).Sef.value)
     | None -> Printf.sprintf "0x%x" pc
+
+(* One run of [exe] with a calling-context tree on the machine's hook
+   (tier-1, so no tier-2 engine is attached): its stop, its instruction
+   count, and the tree filed under [prog] and the entry routine. *)
+let hot_run ~fuel ?os prog exe =
+  match Trace.with_span "emu.load" (fun () -> Emu.load exe) with
+  | exception Emu.Fault m ->
+      Error (Diag.error_message (Diag.Exe_error { what = "emulator load: " ^ m }))
+  | t ->
+      Option.iter (fun spec -> ignore (Eel_os.Os.install t spec)) os;
+      let tree = Cct.create () in
+      t.Emu.hook <- Some (Cct.hook tree);
+      let stop =
+        Trace.with_span "emu.run" (fun () ->
+            match Emu.run ~fuel t with
+            | r -> Diffexec.S_exit r.Emu.exit_code
+            | exception Emu.Fault m -> Diffexec.S_fault m
+            | exception Emu.Out_of_fuel -> Diffexec.S_fuel)
+      in
+      Emu.recycle ~marks:t.Emu.marks t.Emu.mem;
+      let name_of = namer exe in
+      Ok
+        ( Format.asprintf "%a" Diffexec.pp_stop stop,
+          Emu.insns_executed t,
+          Cct.hotspot ~name_of ~root:[ prog; name_of exe.Sef.entry ] tree )
 
 let () =
   let fuel = ref Diffexec.default_fuel in
@@ -129,25 +156,13 @@ let () =
   (* both sweeps are jobs-agnostic (every job returns what it measured),
      but --trace pins them to one domain *)
   let jobs = ctx.Cli.jobs in
-  (* ---- phase 1: hot-path attribution (one profiled run per program) ---- *)
+  (* ---- phase 1: hot-path attribution (one tier-1 run per program) ---- *)
   let hot_rows =
     Eel_util.Pool.map_list ?jobs
       (fun (prog, src, os) ->
         match load src with
         | Error e -> (prog, Error (Diag.error_message e))
-        | Ok exe -> (
-            match Diffexec.execute ~fuel:!fuel ~profile:true ?os exe with
-            | Error e -> (prog, Error (Diag.error_message e))
-            | Ok r ->
-                Diffexec.recycle r;
-                let p = Option.get r.Diffexec.r_profile in
-                let name_of = namer exe in
-                ( prog,
-                  Ok
-                    ( Format.asprintf "%a" Diffexec.pp_stop r.Diffexec.r_stop,
-                      p.Emu.p_insns,
-                      Emu.profile_hotspot ~name_of
-                        ~root:(name_of exe.Sef.entry) ~prefix:[ prog ] p ) )))
+        | Ok exe -> (prog, hot_run ~fuel:!fuel ?os prog exe))
       programs
   in
   let hot = Hotspot.create () in

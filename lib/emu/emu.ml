@@ -182,27 +182,6 @@ let iclass_of = function
   | Insn.Ticc _ -> 7
   | Insn.Invalid _ | Insn.Unimp _ | Insn.Rdy _ | Insn.Wry _ -> 8
 
-(** One node of the calling-context tree: a routine entry address reached
-    by a call, with the dynamic instructions (and class mix) attributed to
-    that context and the contexts called from it. *)
-type cct = {
-  cc_entry : int;  (** arrival pc of the call target; -1 at the root *)
-  mutable cc_self : int;
-  cc_classes : int array;  (** indexed like {!iclass_names} *)
-  cc_children : (int, cct) Hashtbl.t;  (** callee entry pc -> context *)
-}
-
-(** A shadow-stack frame, pushed when a call arrives: the caller's
-    context, the return address it expects, and the context the call
-    entered. The stack alone therefore determines the current context
-    (the top frame's callee, or the root) and the depth. *)
-type cframe = {
-  cf_node : cct;  (** the caller's context *)
-  cf_ret : int;  (** expected return address *)
-  cf_callee : cct;  (** the context the call entered *)
-  cf_depth : int;  (** stack depth with this frame pushed *)
-}
-
 type profile = {
   mutable p_insns : int;  (** fuel consumed (dynamic instructions) *)
   mutable p_block_entries : int;  (** non-sequential arrivals *)
@@ -210,29 +189,9 @@ type profile = {
   p_pc_counts : (int, int) Hashtbl.t;  (** pc -> execution count *)
   p_class_counts : int array;  (** indexed like {!iclass_names} *)
   mutable p_last_pc : int;
-  p_root : cct;  (** calling-context tree root (the entry routine) *)
-  mutable p_cur : cct;  (** context currently executing *)
-  mutable p_stack : cframe list;
-      (** shadow call stack (callers of cur); [p_cur] and [p_depth] are
-          what it determines (see {!cframe}) *)
-  mutable p_depth : int;
-  mutable p_pending_call : int;
-      (** return address of a just-executed call, [min_int] when none; the
-          next block entry within the DCTI window is its callee *)
-  mutable p_pending_ret : bool;
-  mutable p_pending_at : int;  (** [p_insns] when the pending flag was set *)
 }
 
-let new_cct entry =
-  {
-    cc_entry = entry;
-    cc_self = 0;
-    cc_classes = Array.make (Array.length iclass_names) 0;
-    cc_children = Hashtbl.create 4;
-  }
-
 let create_profile () =
-  let root = new_cct (-1) in
   {
     p_insns = 0;
     p_block_entries = 0;
@@ -240,13 +199,6 @@ let create_profile () =
     p_pc_counts = Hashtbl.create 1024;
     p_class_counts = Array.make (Array.length iclass_names) 0;
     p_last_pc = min_int;
-    p_root = root;
-    p_cur = root;
-    p_stack = [];
-    p_depth = 0;
-    p_pending_call = min_int;
-    p_pending_ret = false;
-    p_pending_at = 0;
   }
 
 let bump_by tbl key n =
@@ -256,126 +208,18 @@ let bump_by tbl key n =
 
 let bump tbl key = bump_by tbl key 1
 
-(* Shadow-stack depth cap: beyond it, callee instructions are attributed to
-   the capped context instead of pushing (runaway recursion stays bounded;
-   returns past the cap still unwind by matching return addresses). *)
-let max_cct_depth = 512
-
-(* A pending call/return explains a block entry only if it fired within the
-   transfer's own DCTI window (the transfer plus its delay slot): the
-   arriving instruction is at most the second one recorded after it. *)
-let pending_live p = p.p_insns - p.p_pending_at <= 1
-
-(** The context a shadow stack determines: its top frame's callee, or
-    the root when empty. *)
-let stack_cur p = function fr :: _ -> fr.cf_callee | [] -> p.p_root
-
-let stack_depth = function fr :: _ -> fr.cf_depth | [] -> 0
-
-(* The stack below the frame expecting return address [pc], or [stk]
-   itself when no frame does; unwinding through intermediate frames
-   handles tail-call escapes, and a return to an address no frame
-   expects (e.g. a computed jump) pops nothing. *)
-let rec popped pc stk = function
-  | fr :: rest -> if fr.cf_ret = pc then rest else popped pc stk rest
-  | [] -> stk
-
-(** [arrive_on p pc stk] is the calling-context rule of a non-sequential
-    arrival at [pc] on the shadow stack [stk]: it clears the pending
-    transfer and returns the stack the arrival leaves.
-    A live pending call under {!max_cct_depth} pushes the caller's frame
-    and enters the caller's child context for [pc]; a live pending
-    return pops to the frame expecting [pc]; a live call at the cap
-    attributes the callee to the capped context (no push, and no pop
-    either); anything else leaves [stk]. The profile's own [p_stack],
-    [p_cur] and [p_depth] are not touched: {!profile_arrive} applies the
-    rule to them, and the tier-2 engine to a stack it carries. *)
-let arrive_on p pc stk =
-  let live = pending_live p in
-  let stk' =
-    if p.p_pending_call <> min_int then
-      if live && stack_depth stk < max_cct_depth then begin
-        let cur = stack_cur p stk in
-        let child =
-          match Hashtbl.find_opt cur.cc_children pc with
-          | Some c -> c
-          | None ->
-              let c = new_cct pc in
-              Hashtbl.add cur.cc_children pc c;
-              c
-        in
-        {
-          cf_node = cur;
-          cf_ret = p.p_pending_call;
-          cf_callee = child;
-          cf_depth = stack_depth stk + 1;
-        }
-        :: stk
-      end
-      else stk
-    else if p.p_pending_ret && live then popped pc stk stk
-    else stk
-  in
-  p.p_pending_call <- min_int;
-  p.p_pending_ret <- false;
-  stk'
-
-(** Make [stk] the profile's shadow stack, with the context and depth it
-    determines. *)
-let set_stack p stk =
-  if stk != p.p_stack then begin
-    p.p_stack <- stk;
-    p.p_cur <- stack_cur p stk;
-    p.p_depth <- stack_depth stk
-  end
-
-(** The arrival part of {!profile_step}: the next instruction to be
-    recorded, at [pc], was reached non-sequentially. Counts the block
-    entry and moves the calling context by {!arrive_on}, the one copy of
-    the calling-context rules. The per-leader count in [p_block_counts]
-    is the caller's: tier-2 keeps one per compiled block and folds it in
-    later. *)
-let profile_arrive p pc =
-  p.p_block_entries <- p.p_block_entries + 1;
-  set_stack p (arrive_on p pc p.p_stack)
-
-(** What a recorded instruction arms for the next arrival: a call, or a
-    call through a register (jmpl leaving the return address in %o7/%i7),
-    pushes on landing; any other jmpl is a potential return. *)
-type arm = No_arm | Arm_call | Arm_ret
-
-let arm_of = function
-  | Insn.Call _ -> Arm_call
-  | Insn.Jmpl { rd; _ } -> if rd = 15 || rd = 31 then Arm_call else Arm_ret
-  | _ -> No_arm
-
-(** [profile_arm p ~pc ~at a] arms call/return tracking for the transfer
-    at [pc], the [at]-th instruction recorded (see {!arm_of}). *)
-let profile_arm p ~pc ~at = function
-  | No_arm -> ()
-  | Arm_call ->
-      p.p_pending_call <- pc + 8;
-      p.p_pending_at <- at
-  | Arm_ret ->
-      p.p_pending_ret <- true;
-      p.p_pending_at <- at
-
-(** Record one executed instruction: the arrival step when [pc] was
-    reached non-sequentially, then the per-instruction counts, the class
-    mix of the current context, and whatever the instruction arms. *)
+(** Record one executed instruction: a block entry when [pc] was reached
+    non-sequentially, then the per-instruction and class counts. *)
 let profile_step p ~pc insn =
   if pc <> p.p_last_pc + 4 then begin
-    bump p.p_block_counts pc;
-    profile_arrive p pc
+    p.p_block_entries <- p.p_block_entries + 1;
+    bump p.p_block_counts pc
   end;
   p.p_insns <- p.p_insns + 1;
   bump p.p_pc_counts pc;
   p.p_last_pc <- pc;
   let k = iclass_of insn in
-  p.p_class_counts.(k) <- p.p_class_counts.(k) + 1;
-  p.p_cur.cc_self <- p.p_cur.cc_self + 1;
-  p.p_cur.cc_classes.(k) <- p.p_cur.cc_classes.(k) + 1;
-  profile_arm p ~pc ~at:p.p_insns (arm_of insn)
+  p.p_class_counts.(k) <- p.p_class_counts.(k) + 1
 
 (** Times the block led by [pc] was entered via a control transfer (or
     program start); 0 for addresses only ever reached by fall-through. *)
@@ -400,32 +244,6 @@ let load_ops p = p.p_class_counts.(4)
 (** Dynamic instruction mix as [(class, count)] in {!iclass_names} order. *)
 let class_mix p =
   Array.to_list (Array.mapi (fun i n -> (iclass_names.(i), n)) p.p_class_counts)
-
-(** The calling-context tree recorded by {!profile_step}: root is the entry
-    routine; children are keyed by callee entry pc. *)
-let profile_cct p = p.p_root
-
-(** [profile_hotspot ?name_of ?root ?prefix p] converts the calling-context
-    tree into a named {!Eel_obs.Hotspot.t}: [name_of] renders a context's
-    entry pc (default hex), [root] names the entry routine, and [prefix]
-    frames (e.g. the program name) wrap the whole tree so many programs can
-    merge into one flamegraph. *)
-let profile_hotspot ?name_of ?(root = "<entry>") ?(prefix = []) p =
-  let name_of =
-    match name_of with Some f -> f | None -> Printf.sprintf "0x%x"
-  in
-  let h = Eel_obs.Hotspot.create ~classes:iclass_names () in
-  let rec walk rev_stack node =
-    if node.cc_self > 0 then
-      Eel_obs.Hotspot.add h ~stack:(List.rev rev_stack)
-        ~classes:node.cc_classes ~self:node.cc_self ();
-    (* iteration order is irrelevant: Hotspot sums commute *)
-    Hashtbl.iter
-      (fun entry child -> walk (name_of entry :: rev_stack) child)
-      node.cc_children
-  in
-  walk (root :: List.rev prefix) p.p_root;
-  h
 
 (** [publish_profile p] surfaces the profile in the {!Eel_obs.Metrics}
     registry under [<prefix>.*] so traces, tools and the benchmark harness

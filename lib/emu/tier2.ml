@@ -53,31 +53,16 @@
     An armed {!Emu.profile} stays exact without per-instruction work. A
     block's instructions are sequential, so only its first can be a block
     entry, and each exit path runs a prefix of its words. {!compile}
-    summarizes every path once (length, class mix from {!Emu.iclass_of},
-    the call or return its terminator arms). A profiled run chains
-    blocks through its own driver, which carries the profile's
-    calling-context state — the last pc, the path whose call or return
-    has not armed yet, and the shadow stack with its context — instead
-    of storing it at every exit, and hands it back ({!settle}) whenever
-    control leaves: before an OSR replay and when the chain ends. A
-    block exit then costs about one counter increment:
-
-    - {b per-(context, path) run counters} — each path counts its runs
-      for the context it last ran in. A run in another context first
-      adds the count to the old one. Self counts and class mixes of the
-      calling-context tree, and the per-pc, per-block and class tables,
-      are derived from these counters when the profile is folded: when
-      {!run} returns or raises and when a block is killed;
-    - {b a cached calling context} — the arrival right after a call or
-      return path replays what that path did last time from the same
-      shadow stack (a one-entry cache on the calling path for a [call],
-      on the block landed in for a return or a call through a register).
-      A miss runs tier-1's rules:
-      {!Emu.profile_arm}, then {!Emu.arrive_on}, the one copy of the
-      calling-context rules.
-
-    An OSR deopt replays {!Emu.profile_step} over the prefix of the block
-    that ran.
+    summarizes every path once (its length, last pc and class mix from
+    {!Emu.iclass_of}). A profiled run chains blocks through its own
+    driver, which carries the pc last retired instead of storing it at
+    every exit, and hands it back ({!settle}) whenever control leaves:
+    before an OSR replay and when the chain ends. A block exit bumps two
+    counters: the block's arrivals, when it was entered non-sequentially,
+    and the runs of the path it took. The per-pc, per-leader and class
+    tables are derived from them when the profile is folded: when {!run}
+    returns or raises and when a block is killed. An OSR deopt replays
+    {!Emu.profile_step} over the prefix of the block that ran.
 
     {2 Code cache}
 
@@ -115,9 +100,6 @@ type cblock = {
           annulling branch) the one that skips the delay slot *)
   mutable cb_arrivals : int;
       (** profiled non-sequential entries not yet folded *)
-  cb_tx : tx;
-      (** the context cache of returns, and of calls through a register,
-          arriving here *)
 }
 
 (** One exit path of a compiled block, summarized for the profile: the
@@ -126,36 +108,8 @@ and path = {
   pa_len : int;
   pa_last : int;  (** pc of the path's last instruction *)
   pa_mix : int array;  (** [class; count] pairs, flattened *)
-  pa_arm : Emu.arm;  (** what the path's control transfer arms *)
-  pa_arm_pc : int;  (** pc of that transfer *)
-  pa_arm_at : int;  (** its position on the path, counting from 1 *)
   mutable pa_runs : int;
       (** profiled runs not yet folded into the pc and class tables *)
-  mutable pa_cc : Emu.cct;  (** the context of the runs in [pa_cc_runs] *)
-  mutable pa_cc_runs : int;  (** runs not yet added to [pa_cc] *)
-  pa_tx : tx;
-      (** the context cache of the [call] this path makes; the shared
-          empty one for other paths *)
-}
-
-(** A one-entry context cache: the last arrival at [tx_pc] right after a
-    run of the call or return path [tx_via], on the shadow stack
-    [tx_from] and with [tx_call]/[tx_ret] pending before the path armed,
-    left the stack [tx_to], whose context is [tx_cur]. That outcome is
-    {!Emu.profile_arm}'s and {!Emu.arrive_on}'s, computed on the miss
-    that filled the entry; those five are all it depends on, so a hit
-    replays it. A [call]'s outcome is cached on the calling path (its
-    target is fixed), any other call's or a return's on the block it
-    lands in (so the pc is the block's), so a routine called from many
-    sites hits on every site. *)
-and tx = {
-  mutable tx_via : path;
-  mutable tx_pc : int;
-  mutable tx_call : int;
-  mutable tx_ret : bool;
-  mutable tx_from : Emu.cframe list;
-  mutable tx_to : Emu.cframe list;
-  mutable tx_cur : Emu.cct;
 }
 
 (** Per-entry-pc compilation state. [Cold] counts non-sequential arrivals
@@ -194,10 +148,6 @@ type t = {
   mutable t2_block_runs : int;
   mutable t2_interp_steps : int;
   mutable t2_prof_exits : int;  (** block exits the profile counted *)
-  mutable t2_ctx_misses : int;
-      (** call and return arrivals the context cache did not hold *)
-  mutable t2_cc_flushes : int;
-      (** path runs in another context than the path's previous run *)
 }
 
 (** Longest compiled block body (straight-line instructions before the
@@ -961,53 +911,13 @@ let cover_add st wa cb =
   | Some l -> l := cb :: !l
   | None -> Hashtbl.add st.t2_cover wa (ref [ cb ])
 
-(* A context no profile's tree holds: the key of an empty per-context
-   counter. *)
-let no_cct = Emu.new_cct min_int
-
-(* A path no profiled run took: the key of an empty context cache, and
-   (with the profile's last pc) the path before a chain's first block,
-   whose arrival finds any pending transfer in the profile. *)
-let rec no_path =
-  {
-    pa_len = 0;
-    pa_last = min_int;
-    pa_mix = [||];
-    pa_arm = Emu.No_arm;
-    pa_arm_pc = 0;
-    pa_arm_at = 0;
-    pa_runs = 0;
-    pa_cc = no_cct;
-    pa_cc_runs = 0;
-    pa_tx = no_tx;
-  }
-
-and no_tx =
-  {
-    tx_via = no_path;
-    tx_pc = min_int;
-    tx_call = min_int;
-    tx_ret = false;
-    tx_from = [];
-    tx_to = [];
-    tx_cur = no_cct;
-  }
-
-let new_tx () = { no_tx with tx_via = no_path }
-
 (* The profile summary of the path through the first [len] of [words],
    a block entered at [pc]. *)
 let path_of pc (words : Insn.t array) len =
   let counts = Array.make (Array.length Emu.iclass_names) 0 in
-  let arm = ref Emu.No_arm and arm_idx = ref 0 in
   for i = 0 to len - 1 do
     let k = Emu.iclass_of words.(i) in
-    counts.(k) <- counts.(k) + 1;
-    match Emu.arm_of words.(i) with
-    | Emu.No_arm -> ()
-    | a ->
-        arm := a;
-        arm_idx := i
+    counts.(k) <- counts.(k) + 1
   done;
   let mix = ref [] in
   Array.iteri (fun k n -> if n > 0 then mix := k :: n :: !mix) counts;
@@ -1015,13 +925,7 @@ let path_of pc (words : Insn.t array) len =
     pa_len = len;
     pa_last = pc + ((len - 1) lsl 2);
     pa_mix = Array.of_list !mix;
-    pa_arm = !arm;
-    pa_arm_pc = pc + (!arm_idx lsl 2);
-    pa_arm_at = !arm_idx + 1;
     pa_runs = 0;
-    pa_cc = no_cct;
-    pa_cc_runs = 0;
-    pa_tx = (match words.(!arm_idx) with Insn.Call _ -> new_tx () | _ -> no_tx);
   }
 
 (* Compile the block at [pc] and register it in the cache. [None] when
@@ -1049,7 +953,6 @@ let compile st pc =
           cb_insns = words;
           cb_paths = Array.of_list (List.map (path_of pc words) paths);
           cb_arrivals = 0;
-          cb_tx = new_tx ();
           cb_entry = !entry;
           cb_taken = None;
           cb_fall = None;
@@ -1075,31 +978,11 @@ let add_mix classes mix times =
     classes.(k) <- classes.(k) + (times * mix.((2 * j) + 1))
   done
 
-(* Add the runs [pa] holds for its context to that context's self count
-   and class mix, and to the path's own count. *)
-let flush_cc pa =
-  let runs = pa.pa_cc_runs in
-  if runs > 0 then begin
-    let cc = pa.pa_cc in
-    cc.Emu.cc_self <- cc.Emu.cc_self + (runs * pa.pa_len);
-    add_mix cc.Emu.cc_classes pa.pa_mix runs;
-    pa.pa_runs <- pa.pa_runs + runs;
-    pa.pa_cc_runs <- 0
-  end
-
-(* Arm what [pa]'s transfer arms, for a run of it that started with
-   [before] instructions recorded. *)
-let arm (p : Emu.profile) pa before =
-  Emu.profile_arm p ~pc:pa.pa_arm_pc ~at:(before + pa.pa_arm_at) pa.pa_arm
-
 (* Leave the profile as tier-1 would have it after [insns] instructions,
-   the last of them [prev]'s: a transfer [prev] makes has not armed yet.
-   [stk] is the shadow stack. *)
-let settle (p : Emu.profile) ~insns prev stk =
-  if prev.pa_arm != Emu.No_arm then arm p prev (insns - prev.pa_len);
+   the last of them at [last]. *)
+let settle (p : Emu.profile) ~insns last =
   p.Emu.p_insns <- insns;
-  p.Emu.p_last_pc <- prev.pa_last;
-  Emu.set_stack p stk
+  p.Emu.p_last_pc <- last
 
 (* An OSR transfer left [cb] part-way: replay tier-1's profile step over
    the prefix it retired. *)
@@ -1109,20 +992,9 @@ let replay st (p : Emu.profile) cb =
     Emu.profile_step p ~pc:(cb.cb_pc + (i lsl 2)) cb.cb_insns.(i)
   done
 
-(* Empty a context cache: its stacks belong to one profile. *)
-let tx_clear tx =
-  if tx.tx_via != no_path then begin
-    tx.tx_via <- no_path;
-    tx.tx_from <- [];
-    tx.tx_to <- [];
-    tx.tx_cur <- no_cct
-  end
-
-(* Fold [cb]'s unfolded counters into the profile: its paths' runs into
-   their contexts, then into the pc, leader and class tables. Its context
-   caches are emptied too. *)
+(* Fold [cb]'s unfolded counters into the profile: its arrivals into the
+   leader table, its paths' runs into the pc and class tables. *)
 let fold (p : Emu.profile) cb =
-  tx_clear cb.cb_tx;
   if cb.cb_arrivals > 0 then begin
     p.Emu.p_block_entries <- p.Emu.p_block_entries + cb.cb_arrivals;
     Emu.bump_by p.Emu.p_block_counts cb.cb_pc cb.cb_arrivals;
@@ -1130,8 +1002,6 @@ let fold (p : Emu.profile) cb =
   end;
   Array.iter
     (fun pa ->
-      tx_clear pa.pa_tx;
-      flush_cc pa;
       let runs = pa.pa_runs in
       if runs > 0 then begin
         pa.pa_runs <- 0;
@@ -1240,7 +1110,6 @@ let rec no_block =
     cb_insns = [||];
     cb_paths = [||];
     cb_arrivals = 0;
-    cb_tx = no_tx;
   }
 
 (* [nxt] if the fuel budget covers its worst case, else {!no_block} *)
@@ -1283,31 +1152,11 @@ let rec chain st fuel cb =
       let nxt = successor st fuel cb next in
       if nxt != no_block then chain st fuel nxt
 
-(* The arrival step at [cb] right after a run of [pend], a call or return
-   path, that its context cache [tx] does not hold: arm, then
-   {!Emu.arrive_on}, and cache the outcome. *)
-let transfer st (p : Emu.profile) tx cb pend insns stk =
-  st.t2_ctx_misses <- st.t2_ctx_misses + 1;
-  tx.tx_call <- p.Emu.p_pending_call;
-  tx.tx_ret <- p.Emu.p_pending_ret;
-  arm p pend (insns - pend.pa_len);
-  p.Emu.p_insns <- insns;
-  let stk' = Emu.arrive_on p cb.cb_pc stk in
-  tx.tx_via <- pend;
-  tx.tx_pc <- cb.cb_pc;
-  tx.tx_from <- stk;
-  tx.tx_to <- stk';
-  tx.tx_cur <- Emu.stack_cur p stk';
-  stk'
-
-(* {!chain} keeping the profile [p]. The profile's calling-context state
-   rides along: [prev] is the path that ran last (its call or return,
-   if any, has not armed yet), [stk] the shadow stack and [cur] its
-   context. Each exit names its path by the instructions retired, takes
-   the arrival step and counts the run in the path's counter for [cur].
-   The arrival right after a call or return path replays the outcome the
-   context cache holds for it, or runs {!transfer}. *)
-let rec chain_p st fuel (p : Emu.profile) cb prev stk cur =
+(* {!chain} keeping the profile [p]; [last] is the pc of the instruction
+   retired before [cb]. Each exit names its path by the instructions
+   retired and counts its run, and the block's arrival when [cb] did not
+   follow [last] in sequence. *)
+let rec chain_p st fuel (p : Emu.profile) cb last =
   let m = st.t2_emu in
   st.t2_block_runs <- st.t2_block_runs + 1;
   st.t2_cur_pc <- cb.cb_pc;
@@ -1315,61 +1164,16 @@ let rec chain_p st fuel (p : Emu.profile) cb prev stk cur =
   match cb.cb_entry () with
   | exception Deopt ->
       st.t2_cur_pc <- -1;
-      settle p ~insns:(n0 - st.t2_prof_off) prev stk;
+      settle p ~insns:(n0 - st.t2_prof_off) last;
       replay st p cb
   | next ->
       st.t2_cur_pc <- -1;
-      let insns = n0 - st.t2_prof_off in
       let pa = Array.unsafe_get cb.cb_paths (cb.cb_len - (m.Emu.ninsns - n0)) in
-      let stk = ref stk and cur = ref cur in
-      if cb.cb_pc = prev.pa_last + 4 then begin
-        if prev.pa_arm != Emu.No_arm then arm p prev (insns - prev.pa_len)
-      end
-      else begin
-        cb.cb_arrivals <- cb.cb_arrivals + 1;
-        if prev.pa_arm == Emu.No_arm then begin
-          if p.Emu.p_pending_call <> min_int || p.Emu.p_pending_ret then begin
-            p.Emu.p_insns <- insns;
-            let s = Emu.arrive_on p cb.cb_pc !stk in
-            if s != !stk then begin
-              stk := s;
-              cur := Emu.stack_cur p s
-            end
-          end
-        end
-        else begin
-          let tx = if prev.pa_tx.tx_pc = cb.cb_pc then prev.pa_tx else cb.cb_tx in
-          if
-            tx.tx_via == prev && tx.tx_from == !stk
-            && tx.tx_call = p.Emu.p_pending_call
-            && tx.tx_ret = p.Emu.p_pending_ret
-          then begin
-            (* what the arm and the arrival leave, as on the miss *)
-            p.Emu.p_pending_call <- min_int;
-            p.Emu.p_pending_ret <- false;
-            p.Emu.p_pending_at <- insns - prev.pa_len + prev.pa_arm_at;
-            stk := tx.tx_to;
-            cur := tx.tx_cur
-          end
-          else begin
-            let tx = if prev.pa_tx != no_tx then prev.pa_tx else cb.cb_tx in
-            let s = transfer st p tx cb prev insns !stk in
-            stk := s;
-            cur := tx.tx_cur
-          end
-        end
-      end;
-      let stk = !stk and cur = !cur in
-      if pa.pa_cc == cur then pa.pa_cc_runs <- pa.pa_cc_runs + 1
-      else begin
-        st.t2_cc_flushes <- st.t2_cc_flushes + 1;
-        flush_cc pa;
-        pa.pa_cc <- cur;
-        pa.pa_cc_runs <- 1
-      end;
+      if cb.cb_pc <> last + 4 then cb.cb_arrivals <- cb.cb_arrivals + 1;
+      pa.pa_runs <- pa.pa_runs + 1;
       let nxt = successor st fuel cb next in
-      if nxt != no_block then chain_p st fuel p nxt pa stk cur
-      else settle p ~insns:(insns + pa.pa_len) pa stk
+      if nxt != no_block then chain_p st fuel p nxt pa.pa_last
+      else settle p ~insns:(m.Emu.ninsns - st.t2_prof_off) pa.pa_last
 
 let deopts st = st.t2_fault_deopts + st.t2_store_deopts
 
@@ -1397,10 +1201,7 @@ let loop st fuel =
           let d0 = deopts st in
           (match st.t2_prof with
           | None -> chain st fuel cb
-          | Some p ->
-              chain_p st fuel p cb
-                { no_path with pa_last = p.Emu.p_last_pc }
-                p.Emu.p_stack p.Emu.p_cur);
+          | Some p -> chain_p st fuel p cb p.Emu.p_last_pc);
           (* chain exits at a block boundary: still an arrival. After an
              OSR transfer, though, the resumed pc must take at least one
              tier-1 step: a deopt-before cause (div-by-zero, a faulting
@@ -1441,8 +1242,6 @@ let counters st =
     ("deopts.fault", st.t2_fault_deopts);
     ("deopts.self_store", st.t2_store_deopts);
     ("profiled_exits", st.t2_prof_exits);
-    ("ctx_cache_misses", st.t2_ctx_misses);
-    ("path_flushes", st.t2_cc_flushes);
   ]
 
 (* The engine's entry ({!Emu.t}'s [alt_run]). However the loop ends, the
@@ -1514,8 +1313,6 @@ let attach ?(threshold = default_threshold) (m : Emu.t) =
         t2_block_runs = 0;
         t2_interp_steps = 0;
         t2_prof_exits = 0;
-        t2_ctx_misses = 0;
-        t2_cc_flushes = 0;
       }
     in
     m.Emu.on_invalidate <- Some (invalidate st);

@@ -2,11 +2,10 @@
 
     A {!t} is a tree of string-named frames; each node carries the dynamic
     instructions attributed directly to that calling context ([self]) plus a
-    per-instruction-class breakdown. The emulator's profiler builds one of
-    these per run ({!Eel_emu.Emu.profile_hotspot} converts its pc-keyed
-    calling-context tree into named frames); drivers {!merge} many runs into
-    one tree and render the result as a routine table, a collapsed-stack
-    flamegraph, or speedscope JSON.
+    per-instruction-class breakdown. A run's calling-context tree converts
+    into one ({!Eel_emu.Cct.hotspot} names its pc-keyed contexts); drivers
+    {!merge} many runs into one tree and render the result as a routine
+    table, a collapsed-stack flamegraph, or speedscope JSON.
 
     Everything here is integer sums over deterministic inputs, so merging
     commutes: a parallel sweep's per-run trees, merged in any order, give

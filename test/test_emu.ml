@@ -1110,18 +1110,17 @@ Lloop:  add %l1, %l0, %l1
   Alcotest.(check int) "loop head count" 100
     (Emu.pc_count p (exe.Sef.entry + 8))
 
-let test_tier_deep_recursion () =
-  (* recursion past the calling-context depth cap: compiled calls and
-     returns must push, cap and unwind the context tree as tier-1 does *)
-  let src =
-    {|
+(* recursion 600 calls deep, past the calling-context tree's depth cap
+   (Cct.max_depth) *)
+let deep_recursion_src =
+  {|
 main:   mov 600, %o0
         call rec
         nop
         ta 2
 |}
-    ^ exit0
-    ^ {|
+  ^ exit0
+  ^ {|
 rec:    cmp %o0, 0
         be Lbase
         nop
@@ -1137,31 +1136,24 @@ rec:    cmp %o0, 0
 Lbase:  retl
         nop
 |}
-  in
-  let st = check_tiers_agree "deep recursion" src in
+
+let test_tier_deep_recursion () =
+  (* compiled calls and returns, 600 deep, keep tier-1's flat profile *)
+  let st = check_tiers_agree "deep recursion" deep_recursion_src in
   Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
-  let r = run_tier ~profile:true ~tier:Tier2.Block src in
-  Alcotest.(check string) "output" "1200\n" r.tr_out;
-  Alcotest.(check int) "context tree capped" Emu.max_cct_depth
-    (Profile_check.cct_depth (Emu.profile_cct (Option.get r.tr_profile)))
+  let r = run_tier ~profile:true ~tier:Tier2.Block deep_recursion_src in
+  Alcotest.(check string) "output" "1200\n" r.tr_out
 
-(* ---- the profiled chain driver's fast path ----
+(* ---- calls and returns on the profiled chain ----
 
-   A profiled chain carries the calling-context state between exits,
-   counts each path's runs per context, and replays call and return
-   outcomes from one-entry context caches. These programs aim at the
-   cases where that state has to fall back on, or be handed back to,
-   tier-1's rules; each must record tier-1's profile exactly. *)
-
-let tier2_counter name =
-  match Eel_obs.Metrics.find ("emu.tier2." ^ name) with
-  | Some (Eel_obs.Metrics.Int n) -> n
-  | _ -> 0
+   These programs call and return in the ways the calling-context tree
+   (Cct) tells apart: two callers of one routine, a tail call, a computed
+   jump, a kill and a deopt inside a callee, recursion past the tree's
+   depth cap. Compiled, each must record tier-1's flat profile exactly;
+   the tree's own tests below run them on tier-1. *)
 
 (* [f] is called from one call site in R, and R alternately from A and
-   B: the call into f comes from the same path with a different shadow
-   stack every time, so its context cache must miss, and a cache that
-   ignored the caller's stack would file B's calls under A. *)
+   B: the tree must file f's runs under A and under B apart. *)
 let two_callers_src =
   {|
 main:   mov 6, %l0
@@ -1196,25 +1188,16 @@ f:      retl
         add %l1, 10, %l1
 |}
 
-let test_tier_ctx_cache_miss () =
-  let misses = tier2_counter "ctx_cache_misses" in
+let test_tier_two_callers () =
   let st = check_tiers_agree "two callers" two_callers_src in
   Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
-  (* check_tiers_agree makes one profiled block-tier run: at least two
-     misses per iteration after the first (the call into f and the
-     return from it alternate stacks) *)
-  Alcotest.(check bool)
-    "the context cache missed" true
-    (tier2_counter "ctx_cache_misses" - misses >= 10);
   let r = run_tier ~tier:Tier2.Block two_callers_src in
   Alcotest.(check string) "output" "138\n" r.tr_out
 
-let test_tier_unusual_returns () =
-  (* a tail-call escape: U returns straight to A's caller, past T's
-     frame, so the arrival pops two frames; and a computed jump inside
-     a callee, which no frame expects, pops none *)
-  let escape_src =
-    {|
+(* a tail-call escape: U returns straight to T's caller, past T's
+   frame, so the arrival pops two frames *)
+let escape_src =
+  {|
 main:   mov 5, %l0
 Lloop:  call T
         nop
@@ -1224,8 +1207,8 @@ Lloop:  call T
         mov %l1, %o0
         ta 2
 |}
-    ^ exit0
-    ^ {|
+  ^ exit0
+  ^ {|
 T:      mov %o7, %l5
         call U
         add %l1, 1, %l1
@@ -1235,9 +1218,11 @@ T:      mov %o7, %l5
 U:      jmp %l5 + 8
         add %l1, 3, %l1
 |}
-  in
-  let computed_src =
-    {|
+
+(* a computed jump inside a callee, which no frame expects: it pops
+   none *)
+let computed_src =
+  {|
 main:   mov 5, %l0
 Lloop:  call J
         nop
@@ -1247,8 +1232,8 @@ Lloop:  call J
         mov %l1, %o0
         ta 2
 |}
-    ^ exit0
-    ^ {|
+  ^ exit0
+  ^ {|
 J:      set Lin, %l6
         jmp %l6
         add %l1, 1, %l1
@@ -1256,7 +1241,8 @@ J:      set Lin, %l6
 Lin:    retl
         add %l1, 5, %l1
 |}
-  in
+
+let test_tier_unusual_returns () =
   List.iter
     (fun (name, src, out) ->
       let st = check_tiers_agree name src in
@@ -1270,9 +1256,9 @@ Lin:    retl
     [ ("tail-call escape", escape_src, "20\n"); ("computed jump", computed_src, "30\n") ]
 
 let test_tier_kill_in_context () =
-  (* W runs compiled in its own calling context, so its per-context
-     counts are unfolded when main stores W's first word back over
-     itself: the kill must fold them before the block goes *)
+  (* W runs compiled, so its path counts are unfolded when main stores
+     W's first word back over itself: the kill must fold them before the
+     block goes *)
   let src =
     {|
 main:   mov 6, %l0
@@ -1306,8 +1292,8 @@ W:      add %l1, 1, %l1
 
 let test_tier_deopt_in_context () =
   (* D stores over its own second word each call, so the profiled chain
-     deopts in the middle of D with a call arrival and its new context
-     still carried by the driver: they must reach the profile before
+     deopts in the middle of D, entered by a call, with the last pc
+     still carried by the driver: it must reach the profile before
      tier-1 replays D's prefix *)
   let src =
     {|
@@ -1335,9 +1321,7 @@ Dself:  add %l1, 1, %l1
   Alcotest.(check bool) "deopted" true (st.Tier2.st_deopts_store >= 1)
 
 let test_tier_recursion_twice () =
-  (* recursion past the depth cap from a compiled chain, twice: calls at
-     the cap push nothing, so the caches see the same stack again, and
-     the returns past the cap pop frames of shallower calls *)
+  (* recursion 600 deep from a compiled chain, twice *)
   let src =
     {|
 main:   mov 2, %l0
@@ -1395,6 +1379,64 @@ Lcold:  mov 1, %o0
   ignore (check_tiers_agree ~pokes "poke-never-fetched" src);
   let r = run_tier ~pokes ~tier:Tier2.Interp src in
   Alcotest.(check string) "poked word executed" "42\n" r.tr_out
+
+(* ---- the calling-context tree ----
+
+   Cct builds the tree from the machine's hook, so these runs are
+   tier-1. Each is read as collapsed stacks ("main;A;R;f 12": a
+   context's path from the root, and its self count), named by the
+   image's symbols. *)
+
+module Cct = Eel_emu.Cct
+
+let cct_run src =
+  let exe = assemble_exe src in
+  let tree = Cct.create () in
+  let r, _ = Emu.run_exe ~hook:(Cct.hook tree) exe in
+  let name_of pc =
+    match List.find_opt (fun (s : Sef.symbol) -> s.Sef.value = pc) exe.Sef.symbols with
+    | Some s -> s.Sef.sym_name
+    | None -> Printf.sprintf "0x%x" pc
+  in
+  ( r,
+    tree,
+    Eel_obs.Hotspot.collapsed (Cct.hotspot ~name_of ~root:[ "main" ] tree) )
+
+let test_cct_depth_cap () =
+  (* calls past the cap enter no context; the returns past it pop the
+     frames of shallower calls, and the run ends back at the root *)
+  let r, tree, _ = cct_run deep_recursion_src in
+  Alcotest.(check string) "output" "1200\n" r.Emu.out;
+  let rec depth (n : Cct.node) =
+    Hashtbl.fold (fun _ c d -> max d (1 + depth c)) n.Cct.children 0
+  in
+  Alcotest.(check int) "tree capped" Cct.max_depth (depth tree.Cct.root);
+  Alcotest.(check int) "stack unwound" 0 (List.length tree.Cct.stack)
+
+let test_cct_two_callers () =
+  (* f's runs under A and under B stay two contexts, 6 calls each *)
+  let _, _, stacks = cct_run two_callers_src in
+  Alcotest.(check string)
+    "contexts"
+    "main 47\nmain;A 30\nmain;A;R 30\nmain;A;R;f 12\nmain;B 30\nmain;B;R 30\n\
+     main;B;R;f 12\n"
+    stacks
+
+let test_cct_tail_call () =
+  (* U's return lands past T's frame: two frames pop, so main's loop stays
+     at the root and T and U are entered afresh from it each time; T's
+     [add 100; retl; nop] never runs *)
+  let _, tree, stacks = cct_run escape_src in
+  Alcotest.(check string)
+    "contexts" "main 30\nmain;T 15\nmain;T;U 10\n" stacks;
+  Alcotest.(check int) "stack unwound" 0 (List.length tree.Cct.stack)
+
+let test_cct_computed_jump () =
+  (* J's jump to Lin is a return no frame expects: it pops nothing, so
+     Lin's retl and its delay slot stay J's *)
+  let _, tree, stacks = cct_run computed_src in
+  Alcotest.(check string) "contexts" "main 30\nmain;J 30\n" stacks;
+  Alcotest.(check int) "stack unwound" 0 (List.length tree.Cct.stack)
 
 (* ---- recycled machine memory ----
 
@@ -1903,15 +1945,25 @@ let () =
             test_tier_deep_recursion;
           Alcotest.test_case "poke into a never-fetched word" `Quick
             test_tier_poke_never_fetched;
-          Alcotest.test_case "context cache misses on another caller" `Quick
-            test_tier_ctx_cache_miss;
+          Alcotest.test_case "two callers of one callee" `Quick
+            test_tier_two_callers;
           Alcotest.test_case "tail-call escape and computed jump" `Quick
             test_tier_unusual_returns;
-          Alcotest.test_case "kill folds per-context counts" `Quick
+          Alcotest.test_case "kill folds per-path counts" `Quick
             test_tier_kill_in_context;
           Alcotest.test_case "deopt hands the chain's context back" `Quick
             test_tier_deopt_in_context;
           Alcotest.test_case "recursion past the cap, twice" `Quick
             test_tier_recursion_twice;
+        ] );
+      ( "cct",
+        [
+          Alcotest.test_case "depth cap" `Quick test_cct_depth_cap;
+          Alcotest.test_case "two callers keep two contexts" `Quick
+            test_cct_two_callers;
+          Alcotest.test_case "a tail call returns past two frames" `Quick
+            test_cct_tail_call;
+          Alcotest.test_case "a computed jump pops no frame" `Quick
+            test_cct_computed_jump;
         ] );
     ]

@@ -341,13 +341,13 @@ sub:    retl
 let test_emu_cct () =
   let exe = assemble call_src in
   let sub = find_sym exe "sub" in
-  let p = Emu.create_profile () in
-  let r, _ = Emu.run_exe ~profile:p exe in
+  let tree = Eel_emu.Cct.create () in
+  let r, _ = Emu.run_exe ~hook:(Eel_emu.Cct.hook tree) exe in
   Alcotest.(check int) "exit" 0 r.Emu.exit_code;
   let name_of pc =
     if pc = sub then "sub" else Printf.sprintf "0x%x" pc
   in
-  let h = Emu.profile_hotspot ~name_of ~root:"main" p in
+  let h = Eel_emu.Cct.hotspot ~name_of ~root:[ "main" ] tree in
   (* every executed instruction is attributed to some context *)
   Alcotest.(check int) "attributed = executed" r.Emu.insns (Hotspot.total h);
   let find name =
@@ -856,7 +856,7 @@ let test_cli_tier2_metrics () =
           | Some n ->
               Alcotest.(check bool) (Printf.sprintf "%s: %s > 0" tool k) true (n > 0)
           | None -> Alcotest.failf "%s --metrics printed no emu.tier2.%s" tool k)
-        [ "block_runs"; "profiled_exits"; "path_flushes" ])
+        [ "block_runs"; "profiled_exits" ])
     [
       ("eel_report", "--tool qpt2 " ^ sef);
       ( "eel_batch",
