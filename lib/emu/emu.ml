@@ -264,8 +264,8 @@ let publish_profile ?(prefix = "emu") p =
 type t = {
   mem : Bytes.t;
       (** the machine's memory, addresses [[0, size)]. It may be longer
-          than [size] when {!load} took a recycled buffer; nothing reads
-          or writes past [size]. *)
+          than [size]: {!load} rounds a new buffer up, or takes a longer
+          recycled one; nothing reads or writes past [size]. *)
   size : int;
       (** the address-space size: every bound check (accesses, fetch,
           syscall buffers, brk, pokes) reads this, never
@@ -403,11 +403,20 @@ let max_spares = 2
 
 let max_spare_bytes = 4 * default_headroom
 
+(* The capacity of a new buffer for [size] bytes: the next power of two,
+   so that a later load of a slightly larger image finds it big enough,
+   unless that passes {!max_spare_bytes} ({!recycle} would not keep it);
+   then [size] itself, which {!max_image_bytes} bounds. *)
+let capacity size =
+  let rec up c = if c >= size then c else up (2 * c) in
+  let c = up (1 lsl mark_bits) in
+  if c <= max_spare_bytes then c else size
+
 (* [size] zeroed bytes and their marks: the smallest spare that holds
    them (the last that fits, as {!recycle} keeps the spares largest
    first) with the marked pages of [[0, size)] zero-filled, else a new
-   buffer. A page zeroed whole loses its mark; the page [size] cuts
-   keeps it, as its bytes past [size] may be dirty. *)
+   buffer of {!capacity} bytes. A page zeroed whole loses its mark; the
+   page [size] cuts keeps it, as its bytes past [size] may be dirty. *)
 let take_mem size =
   let sp = Domain.DLS.get spares in
   match
@@ -415,7 +424,9 @@ let take_mem size =
       (fun best ((b, _) as s) -> if Bytes.length b >= size then Some s else best)
       None !sp
   with
-  | None -> (Bytes.make size '\000', Bytes.make (mark_pages size) '\000')
+  | None ->
+      let cap = capacity size in
+      (Bytes.make cap '\000', Bytes.make (mark_pages cap) '\000')
   | Some ((b, marks) as s) ->
       sp := List.filter (fun s' -> s' != s) !sp;
       for p = 0 to mark_pages size - 1 do
@@ -459,7 +470,8 @@ let recycle ?marks mem =
     headroom] bytes, the stack pointer at the top of memory, and pc at the
     entry point. The memory is this domain's smallest {!recycle}d buffer
     that holds [size] bytes, with the marked pages of [[0, size)]
-    zero-filled ({!field:marks}), or a new one.
+    zero-filled ({!field:marks}), or a new one, [size] rounded up to a
+    power of two when that stays within what {!recycle} keeps.
     Raises {!Fault} when the image cannot be built: sections with negative
     geometry, contents shorter than the declared size, or an address space
     larger than {!max_image_bytes}.

@@ -1498,8 +1498,12 @@ let recycled_vs_fresh ?os ?pokes ?scribble ~tier ~headroom name exe =
         let before = Bytes.copy dirty in
         (dirty, before, go ()))
   in
-  Alcotest.(check int) (chk "a fresh buffer is the address space") size
-    (Bytes.length fresh.Dx.r_mem);
+  (* a new buffer is [size] rounded up to a power of two: these images
+     stay far below Emu.max_spare_bytes *)
+  let rec pow2 c = if c >= size then c else pow2 (2 * c) in
+  Alcotest.(check int)
+    (chk "a fresh buffer is the address space, rounded up")
+    (pow2 4096) (Bytes.length fresh.Dx.r_mem);
   Alcotest.(check bool) (chk "ran in the recycled buffer") true (recycled.Dx.r_mem == dirty);
   let stop r = Format.asprintf "%a" Dx.pp_stop r.Dx.r_stop in
   let events r = List.map (Format.asprintf "%a" Emu.pp_obs) (Array.to_list r.Dx.r_events) in
@@ -1537,7 +1541,11 @@ let test_recycled_invisible () =
       List.iter
         (fun tier -> ignore (recycled_vs_fresh ~tier ~headroom name img))
         Tier2.all_tiers)
-    [ ("fib", exe, ha); ("qpt2 fib", edited, hb) ]
+    [ ("fib", exe, ha); ("qpt2 fib", edited, hb) ];
+  (* past what a domain keeps, a new buffer is the address space itself *)
+  let big = in_new_domain (fun () -> Emu.load ~headroom:Emu.max_spare_bytes exe) in
+  Alcotest.(check int) "a buffer too large to keep is not rounded up"
+    big.Emu.size (Bytes.length big.Emu.mem)
 
 (* Programs that probe the top of the address space. With [size] a
    multiple of 8 the initial %sp is [size - 64], so [%sp + 64] is the
