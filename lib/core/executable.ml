@@ -769,8 +769,6 @@ let patch_word t map ~pc (ew : Edit.eword) ~labels ~base =
       | None ->
           (* a statically-dead transfer (e.g. fall-through off a routine's
              end into data): emit an invalid word so reaching it faults *)
-          Logs.debug (fun m ->
-              m "eel: transfer to unedited address 0x%x becomes a trap" a);
           0)
   | Edit.P_reloc abs -> (
       match t.mach.Machine.retarget (lift ew.Edit.w) ~disp:(abs - pc) with

@@ -1,5 +1,4 @@
-(** A typed metrics registry: named counters, gauges, and fixed-bucket
-    histograms.
+(** A typed metrics registry: named counters and gauges.
 
     This is the uniform introspection surface the tools and the benchmark
     harness read instead of ad-hoc mutable records scattered per module;
@@ -16,25 +15,15 @@
     counters without locks or races. The pool merges worker registries
     back into the caller's at join time — in chunk order, via the
     {!snapshot}/{!absorb} pair registered as a pool join hook below — so a
-    parallel run's final registry matches the serial run's: counters and
-    histograms accumulate, gauges keep the last chunk that set them. It is
-    the only per-domain state the pool merges. *)
-
-type histogram = {
-  h_edges : float array;  (** strictly increasing upper bucket edges *)
-  h_counts : int array;  (** length [Array.length h_edges + 1]; last = overflow *)
-  mutable h_sum : float;
-  mutable h_n : int;
-}
+    parallel run's final registry matches the serial run's: counters
+    accumulate, gauges keep the last chunk that set them. It is the only
+    per-domain state the pool merges. *)
 
 type counter = int ref
 
 type gauge = float ref
 
-type metric =
-  | M_counter of counter
-  | M_gauge of gauge
-  | M_hist of histogram
+type metric = M_counter of counter | M_gauge of gauge
 
 (* one registry per domain: worker domains start empty, so a snapshot
    after a pool chunk is exactly that chunk's delta *)
@@ -43,10 +32,7 @@ let registry_key : (string, metric) Hashtbl.t Domain.DLS.key =
 
 let registry () = Domain.DLS.get registry_key
 
-let kind_name = function
-  | M_counter _ -> "counter"
-  | M_gauge _ -> "gauge"
-  | M_hist _ -> "histogram"
+let kind_name = function M_counter _ -> "counter" | M_gauge _ -> "gauge"
 
 let register name make match_existing =
   match Hashtbl.find_opt (registry ()) name with
@@ -80,54 +66,13 @@ let gauge name =
 
 let set (g : gauge) v = g := v
 
-let histogram ~edges name =
-  let ok = ref (Array.length edges > 0) in
-  Array.iteri (fun i e -> if i > 0 && e <= edges.(i - 1) then ok := false) edges;
-  if not !ok then
-    invalid_arg "Metrics.histogram: edges must be non-empty and strictly increasing";
-  register name
-    (fun () ->
-      let h =
-        {
-          h_edges = Array.copy edges;
-          h_counts = Array.make (Array.length edges + 1) 0;
-          h_sum = 0.;
-          h_n = 0;
-        }
-      in
-      (M_hist h, h))
-    (function M_hist h -> Some h | _ -> None)
-
-(** [observe h v] adds [v] to the first bucket whose upper edge is >= [v];
-    values above every edge land in the overflow bucket. *)
-let observe (h : histogram) v =
-  let n = Array.length h.h_edges in
-  let rec bucket i = if i >= n || v <= h.h_edges.(i) then i else bucket (i + 1) in
-  let i = bucket 0 in
-  h.h_counts.(i) <- h.h_counts.(i) + 1;
-  h.h_sum <- h.h_sum +. v;
-  h.h_n <- h.h_n + 1
-
 (** {1 Snapshots}
 
     A snapshot is a pure value: reading it never perturbs the metrics. *)
 
-type value =
-  | Int of int
-  | Float of float
-  | Hist of { edges : float array; counts : int array; sum : float; n : int }
+type value = Int of int | Float of float
 
-let read = function
-  | M_counter r -> Int !r
-  | M_gauge r -> Float !r
-  | M_hist h ->
-      Hist
-        {
-          edges = Array.copy h.h_edges;
-          counts = Array.copy h.h_counts;
-          sum = h.h_sum;
-          n = h.h_n;
-        }
+let read = function M_counter r -> Int !r | M_gauge r -> Float !r
 
 let snapshot () =
   Hashtbl.fold (fun name m acc -> (name, read m) :: acc) (registry ()) []
@@ -135,18 +80,10 @@ let snapshot () =
 
 let find name = Option.map read (Hashtbl.find_opt (registry ()) name)
 
-(** [reset ()] zeroes counters, gauges and histograms. Registrations
-    survive. *)
+(** [reset ()] zeroes counters and gauges. Registrations survive. *)
 let reset () =
   Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | M_counter r -> r := 0
-      | M_gauge r -> r := 0.
-      | M_hist h ->
-          Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
-          h.h_sum <- 0.;
-          h.h_n <- 0)
+    (fun _ m -> match m with M_counter r -> r := 0 | M_gauge r -> r := 0.)
     (registry ())
 
 (** [clear ()] drops every registration (test isolation). *)
@@ -157,7 +94,7 @@ let clear () = Hashtbl.reset (registry ())
     Worker domains in an {!Eel_util.Pool} fan-out start with an empty
     registry; a {!snapshot} captures everything a chunk registered and
     [absorb] merges it into the caller's registry. The merge is the
-    serial semantics, replayed: counters and histograms add, gauges are
+    serial semantics, replayed: counters add, gauges are
     overwritten (the pool absorbs chunks in order, so the last chunk that
     set a gauge wins — exactly the serial last-writer). *)
 
@@ -167,14 +104,6 @@ let absorb ex =
       match (v, Hashtbl.find_opt (registry ()) name) with
       | Int n, (None | Some (M_counter _)) -> incr ~by:n (counter name)
       | Float f, (None | Some (M_gauge _)) -> set (gauge name) f
-      | Hist { edges; counts; sum; n }, (None | Some (M_hist _)) ->
-          let h = histogram ~edges name in
-          if h.h_edges = edges then (
-            Array.iteri
-              (fun i c -> h.h_counts.(i) <- h.h_counts.(i) + c)
-              counts;
-            h.h_sum <- h.h_sum +. sum;
-            h.h_n <- h.h_n + n)
       | _ ->
           (* kind drift between domains: drop rather than corrupt *)
           ())
@@ -192,17 +121,7 @@ let float_json v =
   if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let value_to_json = function
-  | Int i -> string_of_int i
-  | Float f -> float_json f
-  | Hist { edges; counts; sum; n } ->
-      let arr f xs =
-        "[" ^ String.concat "," (List.map f (Array.to_list xs)) ^ "]"
-      in
-      Printf.sprintf "{\"edges\":%s,\"counts\":%s,\"sum\":%s,\"n\":%d}"
-        (arr float_json edges)
-        (arr string_of_int counts)
-        (float_json sum) n
+let value_to_json = function Int i -> string_of_int i | Float f -> float_json f
 
 (** The whole registry as a JSON object keyed by metric name. *)
 let to_json () =
@@ -220,14 +139,6 @@ let to_json () =
 let pp_value fmt = function
   | Int i -> Format.fprintf fmt "%d" i
   | Float f -> Format.fprintf fmt "%g" f
-  | Hist { edges; counts; sum; n } ->
-      Format.fprintf fmt "n=%d sum=%g" n sum;
-      Array.iteri
-        (fun i c ->
-          if i < Array.length edges then
-            Format.fprintf fmt " le(%g)=%d" edges.(i) c
-          else Format.fprintf fmt " inf=%d" c)
-        counts
 
 (** One line per metric; with [only], just the names under those prefixes. *)
 let pp ?only fmt () =
