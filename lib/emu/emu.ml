@@ -403,13 +403,18 @@ let max_spares = 2
 
 let max_spare_bytes = 4 * default_headroom
 
-(* The capacity of a new buffer for [size] bytes: the next power of two,
-   so that a later load of a slightly larger image finds it big enough,
-   unless that passes {!max_spare_bytes} ({!recycle} would not keep it);
-   then [size] itself, which {!max_image_bytes} bounds. *)
+(* The capacity of a new buffer for [size] bytes: [size] rounded up to a
+   multiple of an eighth of the power of two at or above it, so that a
+   later load of a slightly larger image (another tool's edit of the same
+   program, say) finds it big enough, unless that passes
+   {!max_spare_bytes} ({!recycle} would not keep it); then [size] itself,
+   which {!max_image_bytes} bounds. Not a whole power of two: the
+   domain's spares stay live in the heap, and buffers up to twice their
+   address space slowed work that never loads (EXPERIMENTS.md). *)
 let capacity size =
   let rec up c = if c >= size then c else up (2 * c) in
-  let c = up (1 lsl mark_bits) in
+  let step = max (1 lsl mark_bits) (up 1 / 8) in
+  let c = (size + step - 1) / step * step in
   if c <= max_spare_bytes then c else size
 
 (* [size] zeroed bytes and their marks: the smallest spare that holds
@@ -470,8 +475,8 @@ let recycle ?marks mem =
     headroom] bytes, the stack pointer at the top of memory, and pc at the
     entry point. The memory is this domain's smallest {!recycle}d buffer
     that holds [size] bytes, with the marked pages of [[0, size)]
-    zero-filled ({!field:marks}), or a new one, [size] rounded up to a
-    power of two when that stays within what {!recycle} keeps.
+    zero-filled ({!field:marks}), or a new one, [size] rounded up by less
+    than a quarter when that stays within what {!recycle} keeps.
     Raises {!Fault} when the image cannot be built: sections with negative
     geometry, contents shorter than the declared size, or an address space
     larger than {!max_image_bytes}.
