@@ -1141,7 +1141,7 @@ let test_tier_deep_recursion () =
   (* compiled calls and returns, 600 deep, keep tier-1's flat profile *)
   let st = check_tiers_agree "deep recursion" deep_recursion_src in
   Alcotest.(check bool) "compiled blocks ran" true (st.Tier2.st_block_runs > 0);
-  let r = run_tier ~profile:true ~tier:Tier2.Block deep_recursion_src in
+  let r = run_tier ~tier:Tier2.Block deep_recursion_src in
   Alcotest.(check string) "output" "1200\n" r.tr_out
 
 (* ---- calls and returns on the profiled chain ----
