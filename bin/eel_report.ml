@@ -72,7 +72,7 @@ let namer (exe : Sef.t) =
 (* One run of [exe] with a calling-context tree on the machine's hook
    (tier-1, so no tier-2 engine is attached): its stop, its instruction
    count, and the tree filed under [prog] and the entry routine. *)
-let hot_run ~fuel ?os prog exe =
+let hot_run ~fuel ~os prog exe =
   match Trace.with_span "emu.load" (fun () -> Emu.load exe) with
   | exception Emu.Fault m ->
       Error (Diag.error_message (Diag.Exe_error { what = "emulator load: " ^ m }))
@@ -162,7 +162,7 @@ let () =
       (fun (prog, src, os) ->
         match load src with
         | Error e -> (prog, Error (Diag.error_message e))
-        | Ok exe -> (prog, hot_run ~fuel:!fuel ?os prog exe))
+        | Ok exe -> (prog, hot_run ~fuel:!fuel ~os prog exe))
       programs
   in
   let hot = Hotspot.create () in
